@@ -23,6 +23,7 @@ from .core import (
     ProfitConfig,
     ProfitStepTrace,
     profit_step,
+    profit_workspace,
     run_plain_training,
     run_profit_training,
 )
@@ -94,6 +95,7 @@ __all__ = [
     "load_config",
     "orthogonal_reject",
     "profit_step",
+    "profit_workspace",
     "rmsprop",
     "run_ablation_sweep",
     "run_experiment",

@@ -33,6 +33,9 @@ from .mlp import flatten, forward, init_model, unflatten
 from .runconfig import RunConfig, config_from_text, load_config
 from .toy import (
     STRATEGIES,
+    STREAM_BASELINE,
+    STREAM_FINETUNE,
+    STREAM_INIT,
     batch_stream,
     evaluate_error,
     evaluation_grid,
@@ -41,11 +44,6 @@ from .toy import (
     run_ablation_sweep,
     target_function,
 )
-
-_STREAM_INIT = 0
-_STREAM_BASELINE = 1
-_STREAM_FINETUNE = 2
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on usage errors; the contract here is 1."""
@@ -89,10 +87,10 @@ def cmd_train_baseline(args) -> int:
     seed = _seed(args, plan)
     out = _out_dir(args, cfg)
 
-    model = init_model(plan.dims, make_rng(seed, _STREAM_INIT))
+    model = init_model(plan.dims, make_rng(seed, STREAM_INIT))
     theta = flatten(model)
     state = optim.init_state(plan.baseline, theta.shape[0])
-    stream_rng = make_rng(seed, _STREAM_BASELINE)
+    stream_rng = make_rng(seed, STREAM_BASELINE)
     stream = batch_stream(plan.original, plan.batch_size, stream_rng)
     loss_cell = [math.nan]
     gradient = mlp_gradient_fn(plan.dims, loss_out=loss_cell)
@@ -144,7 +142,7 @@ def cmd_finetune(args) -> int:
         )
 
     theta0 = ckpt.weights
-    stream_rng = make_rng(seed, _STREAM_FINETUNE)
+    stream_rng = make_rng(seed, STREAM_FINETUNE)
     stream = batch_stream(plan.new, plan.batch_size, stream_rng)
     loss_cell = [math.nan]
 

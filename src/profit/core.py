@@ -10,8 +10,19 @@ saved state and the main optimizer takes the single real update.
 The reference optimizer state persists across outer steps (it is
 instantiated once), and the main optimizer's accumulators are never rolled
 back when the weights are restored; only the weights revert.
+
+Ownership: the training loops copy the starting weights once and then update
+that copy in place (see ``optim.step``).  The reference optimizer explores
+on a two-vector workspace (explored point, displacement) allocated once per
+run, so the saved weights are never copied and never leave ``theta``; after
+the displaced gradient is taken, the explored point's vector holds the
+projected gradient.  A gradient array returned by ``gradient_fn`` is only
+read.  Each of <delta, delta>, <g, g> and <delta, g> is computed once, and
+the finite-value guards read those sums, scanning the vector only when a sum
+is not finite.
 """
 
+import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
@@ -82,6 +93,11 @@ def _next_batch(batch_source: Iterator, needed: int):
         ) from None
 
 
+def profit_workspace(n: int) -> np.ndarray:
+    """Scratch for ``profit_step`` over n parameters: rows are the explored point and the displacement."""
+    return np.empty((2, n))
+
+
 def profit_step(
     theta: np.ndarray,
     config: ProfitConfig,
@@ -89,50 +105,57 @@ def profit_step(
     ref_state: OptimizerState,
     batch_source: Iterator,
     gradient_fn: GradientFn,
+    workspace: np.ndarray | None = None,
 ) -> tuple[np.ndarray, OptimizerState, OptimizerState, ProfitStepTrace]:
     """One outer step; consumes exactly ``n_ref + 1`` batches.
 
-    Returns the updated weights, both advanced optimizer states, and the
-    step trace.
+    Updates ``theta`` and both optimizer states in place and returns them
+    with the step trace.  ``workspace`` comes from ``profit_workspace``; one
+    is allocated for this call when it is omitted.
     """
     needed = config.n_ref + 1
-    theta_ref = theta.copy()
+    if workspace is None:
+        workspace = profit_workspace(theta.shape[0])
+    explored, delta = workspace
 
-    # explore with the reference optimizer
-    cur = theta
+    # explore with the reference optimizer, away from the saved weights
+    np.copyto(explored, theta)
     for _ in range(config.n_ref):
         batch = _next_batch(batch_source, needed)
-        g = gradient_fn(cur, batch)
-        cur, ref_state = optim.step(ref_state, cur, g)
+        g = gradient_fn(explored, batch)
+        optim.step(ref_state, explored, g)
 
-    delta = cur - theta_ref
-    if not np.isfinite(delta).all():
+    np.subtract(explored, theta, out=delta)
+    dd = dot(delta, delta)
+    # a sum of squares is finite only if every entry is; scan when it overflows
+    if not math.isfinite(dd) and not np.isfinite(delta).all():
         raise NonFiniteError("profit_step: non-finite displacement after reference steps")
 
     batch = _next_batch(batch_source, needed)
-    g = gradient_fn(cur, batch)
-    if not np.isfinite(g).all():
+    g = gradient_fn(explored, batch)
+    g_norm = norm(g)
+    if not math.isfinite(g_norm) and not np.isfinite(g).all():
         raise NonFiniteError("profit_step: non-finite gradient at the displaced point")
 
     omega = dot(delta, g)
-    g_norm = norm(g)
     projected = False
     degenerate = False
     if omega < 0.0:
-        g, degenerate = orthogonal_reject(g, delta)
+        # the explored point is spent; its vector takes the projected gradient
+        g, degenerate = orthogonal_reject(g, delta, out=explored, dd=dd, gd=omega)
         projected = not degenerate
 
-    # restore the saved state, then take the single main update
-    theta_new, main_state = optim.step(main_state, theta_ref, g)
+    # the saved weights are still in theta: take the single main update there
+    optim.step(main_state, theta, g)
     trace = ProfitStepTrace(
         omega=omega,
         projected=projected,
         degenerate=degenerate,
-        delta_norm=norm(delta),
+        delta_norm=math.sqrt(dd),
         g_norm=g_norm,
         batches_consumed=needed,
     )
-    return theta_new, main_state, ref_state, trace
+    return theta, main_state, ref_state, trace
 
 
 def run_plain_training(
@@ -148,13 +171,16 @@ def run_plain_training(
 ) -> tuple[np.ndarray, OptimizerState]:
     """Ordinary single-optimizer loop, one batch per step.
 
-    Also serves as the warmup phase of PROFIT training, so a warmup-only run
-    is bit-identical to plain fine-tuning on the same stream.
+    Copies ``theta`` once on entry, then updates the copy and ``state`` in
+    place; returns both.  Also serves as the warmup phase of PROFIT
+    training, so a warmup-only run is bit-identical to plain fine-tuning on
+    the same stream.
     """
+    theta = np.array(theta, dtype=np.float64)
     for i in range(n_steps):
         batch = _next_batch(batch_source, 1)
         g = gradient_fn(theta, batch)
-        theta, state = optim.step(state, theta, g)
+        optim.step(state, theta, g)
         if eval_every and (i + 1) % eval_every == 0 and metrics is not None:
             metrics.append(_run_hooks(eval_hooks, step_offset + i + 1, theta))
     return theta, state
@@ -181,9 +207,11 @@ def run_profit_training(
     ``n_steps`` counts main-optimizer updates; the extra reference batches
     are bookkept in the returned traces.  ``eval_hooks`` are callables
     ``(step, theta) -> dict`` merged into a metrics entry every
-    ``eval_every`` main updates (0 disables).  The starting weights are
-    assumed to come from a converged model; that precondition cannot be
-    checked here and violating it gives poor results.
+    ``eval_every`` main updates (0 disables); the weights a hook sees are
+    updated in place afterwards, so a hook that keeps them must copy them.
+    ``theta0`` itself is never written.  The starting weights are assumed to
+    come from a converged model; that precondition cannot be checked here
+    and violating it gives poor results.
 
     Returns ``(theta_final, traces, metrics)``.
     """
@@ -205,10 +233,11 @@ def run_profit_training(
         step_offset=0,
     )
 
+    workspace = profit_workspace(n)
     offset = config.warmup_steps
     for i in range(n_steps):
         theta, main_state, ref_state, trace = profit_step(
-            theta, config, main_state, ref_state, batch_source, gradient_fn
+            theta, config, main_state, ref_state, batch_source, gradient_fn, workspace
         )
         traces.append(trace)
         if eval_every and (i + 1) % eval_every == 0:

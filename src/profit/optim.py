@@ -1,9 +1,15 @@
 """First-order optimizers (SGD, RMSProp, Adam) behind one step interface.
 
-``step`` is a pure function: it never mutates its inputs and returns fresh
-parameter and state objects, so identical ``(state, theta, g)`` triples give
-bitwise-identical outputs.  States may therefore be handed between threads
-but are meant to be owned by exactly one training loop at a time.
+``step`` works in place under an ownership contract: the caller owns
+``theta`` and the state, and one call overwrites ``theta``, the state's
+accumulators (``state.buffers``) and its counter ``t``.  The gradient ``g``
+is only read, so it may be a buffer the caller reuses or shares.  The
+temporaries of the update live in scratch vectors that ``init_state``
+allocates once, so a step allocates no parameter-sized array.  The
+operations run in the same order as the textbook formulas, so every bit
+equals what the out-of-place expressions give; identical
+``(state, theta, g)`` inputs give identical bits.  A state belongs to one
+training loop at a time.
 
 RMSProp stores squared-gradient averages below the smallest normal float
 (``tiny``, about 2.2e-308) as zero.  A weight whose gradient stays exactly
@@ -30,7 +36,7 @@ sits at 0.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -102,31 +108,37 @@ def adam(
     return OptimizerSpec("adam", learning_rate, beta1=beta1, beta2=beta2, epsilon=epsilon)
 
 
-@dataclass(frozen=True)
+@dataclass
 class OptimizerState:
     """Accumulator buffers aligned with an n-dimensional parameter vector.
 
     SGD keeps no buffers; RMSProp keeps the squared-gradient EMA ``v``;
     Adam keeps first/second moment EMAs ``m``/``v``.  ``t`` counts steps.
+    ``scratch`` holds the update's temporaries (one vector for SGD, two for
+    RMSProp and Adam); its contents carry nothing from one step to the next.
     """
 
     spec: OptimizerSpec
     n: int
     t: int = 0
     buffers: dict = field(default_factory=dict)
+    scratch: tuple = field(default=(), repr=False, compare=False)
 
 
 def init_state(spec: OptimizerSpec, n: int) -> OptimizerState:
-    """Allocate zeroed buffers for ``spec`` over an n-dimensional vector."""
+    """Allocate zeroed buffers and the scratch vectors for ``spec`` over an n-dimensional vector."""
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     if spec.kind == "sgd":
         buffers = {}
+        scratch = (np.empty(n),)
     elif spec.kind == "rmsprop":
         buffers = {"v": np.zeros(n)}
+        scratch = (np.empty(n), np.empty(n))
     else:  # adam
         buffers = {"m": np.zeros(n), "v": np.zeros(n)}
-    return OptimizerState(spec=spec, n=n, t=0, buffers=buffers)
+        scratch = (np.empty(n), np.empty(n))
+    return OptimizerState(spec=spec, n=n, t=0, buffers=buffers, scratch=scratch)
 
 
 def _flush_is_exact(spec: OptimizerSpec) -> bool:
@@ -137,44 +149,63 @@ def _flush_is_exact(spec: OptimizerSpec) -> bool:
 def step(
     state: OptimizerState, theta: np.ndarray, g: np.ndarray
 ) -> tuple[np.ndarray, OptimizerState]:
-    """Apply one update; returns the new parameters and the advanced state."""
+    """Apply one update to ``theta`` and ``state`` in place; ``g`` is only read.
+
+    Returns ``(theta, state)``, the same objects, for chaining.  The checks
+    run before anything is written, so a rejected gradient leaves both as
+    they were.
+    """
     if theta.shape != (state.n,) or g.shape != (state.n,):
         raise DimensionMismatchError(
             f"step: state dimension {state.n} vs theta {theta.shape} / gradient {g.shape}"
         )
-    if not np.isfinite(g).all():
+    # a sum of squares is finite only if every entry is; scan when it overflows
+    with np.errstate(over="ignore"):
+        sum_sq = np.dot(g, g)
+    if not math.isfinite(sum_sq) and not np.isfinite(g).all():
         raise NonFiniteError("step: gradient contains NaN or Inf")
 
     spec = state.spec
     lr = spec.rate_at(state.t)
+    # one rounding per line, in the order of the formula in the comment above
     if spec.kind == "sgd":
-        update = g * lr
-        theta_new = np.subtract(theta, update, out=update)
-        new_buffers = {}
+        # theta - g * lr
+        (update,) = state.scratch
+        np.multiply(g, lr, out=update)
     elif spec.kind == "rmsprop":
-        # spelled with out= buffers to avoid temporaries on the hot path;
-        # the arithmetic (order and rounding) is exactly
-        #   v = rho * v_old + (1 - rho) * g * g, subnormal entries then zeroed
-        #   theta - lr * g / (sqrt(v) + eps)
-        c = g * (1.0 - spec.rho)
+        # v = rho * v + (1 - rho) * g * g, subnormal entries then zeroed
+        # theta - lr * g / (sqrt(v) + eps)
+        c, update = state.scratch
+        v = state.buffers["v"]
+        np.multiply(g, 1.0 - spec.rho, out=c)
         c *= g
-        v = state.buffers["v"] * spec.rho
+        v *= spec.rho
         v += c
         if _flush_is_exact(spec):
             np.copyto(v, 0.0, where=v < _TINY)
         denom = np.sqrt(v, out=c)
         denom += spec.epsilon
-        update = g * lr
+        np.multiply(g, lr, out=update)
         update /= denom
-        theta_new = np.subtract(theta, update, out=update)
-        new_buffers = {"v": v}
     else:  # adam, bias-corrected
+        # m = beta1 * m + (1 - beta1) * g;  v = beta2 * v + (1 - beta2) * g * g
+        # theta - lr * (m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + eps)
+        update, denom = state.scratch
+        m, v = state.buffers["m"], state.buffers["v"]
         t = state.t + 1
-        m = spec.beta1 * state.buffers["m"] + (1.0 - spec.beta1) * g
-        v = spec.beta2 * state.buffers["v"] + (1.0 - spec.beta2) * g * g
-        m_hat = m / (1.0 - spec.beta1**t)
-        v_hat = v / (1.0 - spec.beta2**t)
-        theta_new = theta - lr * m_hat / (np.sqrt(v_hat) + spec.epsilon)
-        new_buffers = {"m": m, "v": v}
-
-    return theta_new, replace(state, t=state.t + 1, buffers=new_buffers)
+        m *= spec.beta1
+        np.multiply(g, 1.0 - spec.beta1, out=update)
+        m += update
+        v *= spec.beta2
+        np.multiply(g, 1.0 - spec.beta2, out=update)
+        update *= g
+        v += update
+        np.divide(m, 1.0 - spec.beta1**t, out=update)
+        update *= lr
+        np.divide(v, 1.0 - spec.beta2**t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += spec.epsilon
+        update /= denom
+    theta -= update
+    state.t += 1
+    return theta, state

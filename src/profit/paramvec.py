@@ -48,31 +48,40 @@ def norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
-def axpy(alpha: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Return ``alpha * x + y`` elementwise."""
-    if not np.isfinite(alpha):
-        raise NonFiniteError(f"axpy: non-finite scale {alpha!r}")
-    check_same_dim(x, y, "axpy")
-    return alpha * x + y
-
-
 class Rejection(NamedTuple):
     vector: np.ndarray
     degenerate: bool
 
 
-def orthogonal_reject(g: np.ndarray, delta: np.ndarray) -> Rejection:
+def orthogonal_reject(
+    g: np.ndarray,
+    delta: np.ndarray,
+    out: np.ndarray | None = None,
+    dd: float | None = None,
+    gd: float | None = None,
+) -> Rejection:
     """Remove from ``g`` its component along ``delta``.
 
     Returns ``g - (<g, delta> / <delta, delta>) * delta``, the part of ``g``
     lying in the plane normal to ``delta``.  When ``delta`` is degenerate
     (squared norm below ``EPS_DEGENERATE``) there is no direction to reject
-    against; ``g`` is returned unchanged with ``degenerate=True`` so callers
-    can recover rather than divide by ~0.
+    against; the result is then a copy of ``g``, with ``degenerate=True`` so
+    callers can recover rather than divide by ~0.
+
+    The result is written to ``out`` when given (it must not be ``g`` or
+    ``delta``), else to a new array; ``g`` and ``delta`` are only read.
+    ``dd = <delta, delta>`` and ``gd = <g, delta>`` may be passed in when the
+    caller already holds them; they must be the values ``dot`` gives.
     """
     check_same_dim(g, delta, "orthogonal_reject")
-    dd = sq_norm(delta)
+    if out is None:
+        out = np.empty_like(g)
+    if dd is None:
+        dd = sq_norm(delta)
     if dd < EPS_DEGENERATE:
-        return Rejection(g.copy(), True)
-    coeff = dot(g, delta) / dd
-    return Rejection(g - coeff * delta, False)
+        np.copyto(out, g)
+        return Rejection(out, True)
+    if gd is None:
+        gd = dot(g, delta)
+    np.multiply(delta, gd / dd, out=out)
+    return Rejection(np.subtract(g, out, out=out), False)

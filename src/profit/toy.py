@@ -20,16 +20,16 @@ import numpy as np
 
 from . import mlp, optim
 from .core import ProfitConfig, run_plain_training, run_profit_training
-from .errors import DimensionMismatchError, NonFiniteError
+from .errors import NonFiniteError
 from .mlp import LAYER_DIMS, Batch, MlpModel, backward, flatten, forward, unflatten
 
 GRID_SIZE = 100
 STRATEGIES = ("full", "head", "profit")
 
 # derivation streams off a run seed
-_STREAM_INIT = 0
-_STREAM_BASELINE = 1
-_STREAM_FINETUNE = 2
+STREAM_INIT = 0
+STREAM_BASELINE = 1
+STREAM_FINETUNE = 2
 
 
 def make_rng(*entropy: int) -> np.random.Generator:
@@ -130,20 +130,6 @@ def head_block_size(dims=LAYER_DIMS) -> int:
     return dims[-2] * dims[-1] + dims[-1]
 
 
-def apply_head_mask(gradient: np.ndarray, dims=LAYER_DIMS) -> np.ndarray:
-    """Zero every coordinate outside the final layer's weight/bias block."""
-    expected = mlp.param_count(dims)
-    if gradient.shape != (expected,):
-        raise DimensionMismatchError(
-            f"apply_head_mask: expected length {expected} for dims {tuple(dims)}, "
-            f"got shape {gradient.shape}"
-        )
-    masked = np.zeros_like(gradient)
-    head = head_block_size(dims)
-    masked[-head:] = gradient[-head:]
-    return masked
-
-
 def mlp_gradient_fn(dims=LAYER_DIMS, head_only: bool = False, loss_out: list | None = None):
     """gradient_fn over flat weights for the training loops.
 
@@ -159,7 +145,7 @@ def mlp_gradient_fn(dims=LAYER_DIMS, head_only: bool = False, loss_out: list | N
     buffer = np.empty(mlp.param_count(dims))
 
     def gradient(theta: np.ndarray, batch: Batch) -> np.ndarray:
-        model = unflatten(theta, dims, copy=False)  # theta is never mutated in place
+        model = unflatten(theta, dims, copy=False)  # theta is not written during the call
         loss, g = compute(model, batch, out=buffer)
         if loss_out is not None:
             loss_out[0] = loss
@@ -219,8 +205,8 @@ class ExperimentPlan:
 
 def train_baseline(plan: ExperimentPlan, seed: int) -> MlpModel:
     """Train the from-scratch baseline on the original domain for one seed."""
-    model = mlp.init_model(plan.dims, make_rng(seed, _STREAM_INIT))
-    stream = batch_stream(plan.original, plan.batch_size, make_rng(seed, _STREAM_BASELINE))
+    model = mlp.init_model(plan.dims, make_rng(seed, STREAM_INIT))
+    stream = batch_stream(plan.original, plan.batch_size, make_rng(seed, STREAM_BASELINE))
     theta = flatten(model)
     state = optim.init_state(plan.baseline, theta.shape[0])
     theta, _ = run_plain_training(
@@ -238,7 +224,7 @@ def finetune_model(
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
-    stream = batch_stream(plan.new, plan.batch_size, make_rng(seed, _STREAM_FINETUNE))
+    stream = batch_stream(plan.new, plan.batch_size, make_rng(seed, STREAM_FINETUNE))
     theta0 = flatten(baseline_model)
     traces: list = []
     if strategy == "profit":

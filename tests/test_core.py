@@ -1,20 +1,24 @@
 """Unit tests for the outer-step wrapper: gating, restoration, accounting."""
 
 import itertools
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import pure_step, zero_buffers
 
-from profit import optim
+from profit import mlp, optim, toy
 from profit.core import (
     ProfitConfig,
     ProfitStepTrace,
     profit_step,
+    profit_workspace,
     run_plain_training,
     run_profit_training,
 )
 from profit.errors import BatchStreamExhaustedError, NonFiniteError
-from profit.paramvec import dot, norm
+from profit.paramvec import EPS_DEGENERATE, dot, norm
 
 
 def endless():
@@ -79,8 +83,9 @@ def test_aligned_gradient_passes_through_untouched():
     g_ref = np.array([1.0, 0.0, 0.0])
     g_disp = np.array([-3.0, 1.0, 2.0])  # <delta, g> = 0.3 > 0
     feed = iter([g_ref, g_disp])
+    theta = theta0.copy()
     theta_new, _, _, trace = profit_step(
-        theta0, config, main_state, ref_state, endless(),
+        theta, config, main_state, ref_state, endless(),
         lambda theta, batch: next(feed),
     )
 
@@ -88,9 +93,11 @@ def test_aligned_gradient_passes_through_untouched():
     assert trace.omega == pytest.approx(dot(delta, g_disp))
     assert trace.omega > 0.0
     assert not trace.projected and not trace.degenerate
+    assert theta_new is theta  # updated in place
     # bitwise: replicate the single main update from the restored weights
-    expected, _ = optim.step(optim.init_state(config.main, 3), theta0, g_disp)
-    assert np.array_equal(theta_new, expected)
+    expected = theta0 - g_disp * 0.05
+    assert theta_new.tobytes() == expected.tobytes()
+    assert g_disp.tobytes() == np.array([-3.0, 1.0, 2.0]).tobytes()
 
 
 def test_opposed_gradient_is_orthogonally_rejected():
@@ -103,7 +110,7 @@ def test_opposed_gradient_is_orthogonally_rejected():
     g_disp = np.array([2.0, 1.0, -1.0])  # delta = (-0.1, 0, 0), omega = -0.2
     feed = iter([g_ref, g_disp])
     theta_new, _, _, trace = profit_step(
-        theta0, config, main_state, ref_state, endless(),
+        theta0.copy(), config, main_state, ref_state, endless(),
         lambda theta, batch: next(feed),
     )
 
@@ -112,8 +119,11 @@ def test_opposed_gradient_is_orthogonally_rejected():
     assert trace.omega == pytest.approx(-0.2)
     assert trace.projected and not trace.degenerate
     assert abs(dot(projected, delta)) <= 1e-10 * norm(projected) * norm(delta)
-    expected, _ = optim.step(optim.init_state(config.main, 3), theta0, projected)
-    assert np.array_equal(theta_new, expected)
+    expected = theta0 - projected * 0.05
+    assert not np.array_equal(projected, g_disp)
+    assert theta_new.tobytes() == expected.tobytes()
+    # the gradient handed to the wrapper is never written
+    assert g_disp.tobytes() == np.array([2.0, 1.0, -1.0]).tobytes()
 
 
 def test_vanishing_displacement_falls_back_to_raw_gradient():
@@ -124,12 +134,13 @@ def test_vanishing_displacement_falls_back_to_raw_gradient():
 
     g = np.ones(3)  # delta = -1e-15 * ones, omega = -3e-15 < 0, |delta|^2 = 3e-30
     theta_new, _, _, trace = profit_step(
-        theta0, config, main_state, ref_state, endless(), constant_gradient(g),
+        theta0.copy(), config, main_state, ref_state, endless(), constant_gradient(g),
     )
     assert trace.omega < 0.0
     assert trace.degenerate and not trace.projected
-    expected, _ = optim.step(optim.init_state(config.main, 3), theta0, g)
-    assert np.array_equal(theta_new, expected)
+    expected = theta0 - g * 0.05
+    assert theta_new.tobytes() == expected.tobytes()
+    assert g.tobytes() == np.ones(3).tobytes()
 
 
 def test_weights_are_restored_before_the_main_update():
@@ -148,12 +159,15 @@ def test_weights_are_restored_before_the_main_update():
             return np.ones(8)
         return np.zeros(8)
 
+    theta = theta0.copy()
     theta_new, _, _, trace = profit_step(
-        theta0, config, main_state, ref_state, endless(), gradient,
+        theta, config, main_state, ref_state, endless(), gradient,
     )
     assert trace.delta_norm > 1.0  # the reference really moved
-    assert np.array_equal(theta_new, theta0)
-    # the displaced-point gradient was evaluated away from theta0
+    assert theta_new is theta
+    assert theta_new.tobytes() == theta0.tobytes()
+    # the exploration started at the saved weights; the displaced gradient did not
+    assert calls[0].tobytes() == theta0.tobytes()
     assert not np.array_equal(calls[-1], theta0)
 
 
@@ -356,3 +370,107 @@ def test_nonfinite_displacement_is_rejected():
             np.zeros(2), config, main_state, ref_state, endless(),
             constant_gradient(np.full(2, 1.7e308)),
         )
+
+
+# ------------------------------------------------------------ full width
+
+# a short 500-wide pipeline: every step runs the production-size vectors
+WIDE = replace(toy.ExperimentPlan(), baseline_steps=40, finetune_steps=12, seeds=(0,))
+
+
+def formula_plain_run(spec, theta, n_steps, batches, gradient_fn):
+    buffers = zero_buffers(spec, theta.shape[0])
+    for t in range(n_steps):
+        theta, buffers = pure_step(spec, t, buffers, theta, gradient_fn(theta, next(batches)))
+    return theta
+
+
+def formula_profit_run(config, theta, n_steps, batches, gradient_fn):
+    """The outer step as out-of-place formulas, one fresh array per intermediate."""
+    n = theta.shape[0]
+    main_buffers, ref_buffers = zero_buffers(config.main, n), zero_buffers(config.reference, n)
+    t_ref = 0
+    traces = []
+    for t in range(n_steps):
+        cur = theta
+        for _ in range(config.n_ref):
+            g = gradient_fn(cur, next(batches))
+            cur, ref_buffers = pure_step(config.reference, t_ref, ref_buffers, cur, g)
+            t_ref += 1
+        delta = cur - theta
+        g = gradient_fn(cur, next(batches))
+        omega = float(np.dot(delta, g))
+        g_norm = float(np.linalg.norm(g))
+        projected = degenerate = False
+        if omega < 0.0:
+            dd = float(np.dot(delta, delta))
+            degenerate = dd < EPS_DEGENERATE
+            projected = not degenerate
+            if projected:
+                g = g - (float(np.dot(g, delta)) / dd) * delta
+        traces.append(
+            ProfitStepTrace(
+                omega, projected, degenerate, float(np.linalg.norm(delta)), g_norm,
+                config.n_ref + 1,
+            )
+        )
+        theta, main_buffers = pure_step(config.main, t, main_buffers, theta, g)
+    return theta, traces
+
+
+def wide_batches(domain, stream):
+    return toy.batch_stream(domain, WIDE.batch_size, toy.make_rng(0, stream))
+
+
+def test_full_width_pipeline_equals_the_out_of_place_formulas():
+    """Baseline, full, head and PROFIT (n_ref 1 and 3) fine-tunes at 500 wide:
+    weight bytes and every trace field equal the formulas run out of place."""
+    base = toy.train_baseline(WIDE, 0)
+    theta0 = mlp.flatten(mlp.init_model(WIDE.dims, toy.make_rng(0, toy.STREAM_INIT)))
+    expected = formula_plain_run(
+        WIDE.baseline, theta0, WIDE.baseline_steps,
+        wide_batches(WIDE.original, toy.STREAM_BASELINE), toy.mlp_gradient_fn(WIDE.dims),
+    )
+    assert mlp.flatten(base).tobytes() == expected.tobytes()
+
+    for strategy in ("full", "head"):
+        tuned, _ = toy.finetune_model(WIDE, base, strategy, 0)
+        expected = formula_plain_run(
+            WIDE.finetune, mlp.flatten(base), WIDE.finetune_steps,
+            wide_batches(WIDE.new, toy.STREAM_FINETUNE),
+            toy.mlp_gradient_fn(WIDE.dims, head_only=(strategy == "head")),
+        )
+        assert mlp.flatten(tuned).tobytes() == expected.tobytes(), strategy
+
+    for n_ref in (1, 3):
+        plan = replace(WIDE, n_ref=n_ref)
+        tuned, traces = toy.finetune_model(plan, base, "profit", 0)
+        expected, expected_traces = formula_profit_run(
+            plan.profit_config(), mlp.flatten(base), plan.finetune_steps,
+            wide_batches(plan.new, toy.STREAM_FINETUNE), toy.mlp_gradient_fn(plan.dims),
+        )
+        assert mlp.flatten(tuned).tobytes() == expected.tobytes(), n_ref
+        assert traces == expected_traces
+        assert any(t.projected for t in traces)  # the projection ran at full width
+
+
+def test_full_width_profit_step_allocates_under_two_parameter_vectors():
+    """After one warm-up outer step, a 500-wide step's traced peak stays below
+    two parameter vectors: the batch's activations, and no parameter copy."""
+    plan = toy.ExperimentPlan()
+    config = plan.profit_config()
+    theta = mlp.flatten(mlp.init_model(plan.dims, toy.make_rng(0, toy.STREAM_INIT)))
+    n = theta.shape[0]
+    main_state, ref_state = make_states(config, n)
+    workspace = profit_workspace(n)
+    batches = wide_batches(plan.new, toy.STREAM_FINETUNE)
+    gradient = toy.mlp_gradient_fn(plan.dims)
+    args = (theta, config, main_state, ref_state, batches, gradient, workspace)
+    profit_step(*args)  # warm-up
+    tracemalloc.start()
+    try:
+        profit_step(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * theta.nbytes, f"peak {peak} bytes against {2 * theta.nbytes}"

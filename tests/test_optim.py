@@ -1,7 +1,13 @@
 """Optimizer specs, state, and single-step semantics."""
 
+import copy
+
 import numpy as np
 import pytest
+from conftest import pure_step, zero_buffers
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from profit import optim
 from profit.errors import DimensionMismatchError, NonFiniteError
@@ -63,6 +69,7 @@ def test_inverse_time_rate_schedule():
 def test_init_state_sgd_has_no_buffers():
     s = init_state(sgd(0.1), 4)
     assert s.buffers == {} and s.t == 0 and s.n == 4
+    assert [x.shape for x in s.scratch] == [(4,)]
 
 
 def test_init_state_adam_two_zero_vectors():
@@ -71,6 +78,7 @@ def test_init_state_adam_two_zero_vectors():
     assert np.array_equal(s.buffers["m"], np.zeros(3))
     assert np.array_equal(s.buffers["v"], np.zeros(3))
     assert s.t == 0
+    assert [x.shape for x in s.scratch] == [(3,), (3,)]
 
 
 def test_init_state_rmsprop_large_dimension():
@@ -78,6 +86,7 @@ def test_init_state_rmsprop_large_dimension():
     assert set(s.buffers) == {"v"}
     assert s.buffers["v"].shape == (252_501,)
     assert not s.buffers["v"].any()
+    assert [x.shape for x in s.scratch] == [(252_501,), (252_501,)]
 
 
 def test_init_state_rejects_nonpositive_dimension():
@@ -96,7 +105,7 @@ def test_sgd_single_step_formula():
 
 def test_sgd_zero_gradient_is_fixed_point():
     theta0 = vec(1.0, -2.0, 3.0)
-    theta, _ = step(init_state(sgd(0.1), 3), theta0, np.zeros(3))
+    theta, _ = step(init_state(sgd(0.1), 3), theta0.copy(), np.zeros(3))
     assert np.array_equal(theta, theta0)
 
 
@@ -104,9 +113,9 @@ def test_sgd_linearity_in_gradient():
     rng = np.random.default_rng(5)
     theta0 = rng.standard_normal(8)
     g = rng.standard_normal(8)
-    s = init_state(sgd(0.05), 8)
-    move1 = step(s, theta0, g)[0] - theta0
-    move3 = step(s, theta0, 3.0 * g)[0] - theta0
+    move1 = step(init_state(sgd(0.05), 8), theta0.copy(), g)[0] - theta0
+    move3 = step(init_state(sgd(0.05), 8), theta0.copy(), 3.0 * g)[0] - theta0
+    assert move1.any()
     assert np.allclose(move3, 3.0 * move1, rtol=1e-12, atol=0.0)
 
 
@@ -120,13 +129,13 @@ def test_rmsprop_single_step_oracle():
 
 def test_rmsprop_zero_gradient_zero_state_is_fixed_point():
     theta0 = vec(0.5, -0.5)
-    theta, _ = step(init_state(rmsprop(0.01), 2), theta0, np.zeros(2))
+    theta, _ = step(init_state(rmsprop(0.01), 2), theta0.copy(), np.zeros(2))
     assert np.array_equal(theta, theta0)
 
 
 def test_adam_zero_gradient_zero_state_is_fixed_point():
     theta0 = vec(2.0)
-    theta, _ = step(init_state(adam(0.01), 1), theta0, np.zeros(1))
+    theta, _ = step(init_state(adam(0.01), 1), theta0.copy(), np.zeros(1))
     assert np.array_equal(theta, theta0)
 
 
@@ -179,39 +188,78 @@ def test_decay_applies_to_rmsprop_too():
     # first update (t=0) identical, second (t=1) uses half the rate
     th_p, st_p = step(init_state(plain, 1), vec(0.0), g)
     th_a, st_a = step(init_state(annealed, 1), vec(0.0), g)
-    assert th_p[0] == th_a[0]
-    th_p2, _ = step(st_p, th_p, g)
-    th_a2, _ = step(st_a, th_a, g)
-    assert (th_a2[0] - th_a[0]) == pytest.approx((th_p2[0] - th_p[0]) / 2.0, rel=1e-12)
+    first_p, first_a = th_p[0], th_a[0]
+    assert first_p == first_a
+    step(st_p, th_p, g)
+    step(st_a, th_a, g)
+    assert th_a[0] - first_a == pytest.approx((th_p[0] - first_p) / 2.0, rel=1e-12)
 
 
 # ------------------------------------------------------------- contracts
 
 
-def test_step_is_pure_and_deterministic():
+SPECS = (sgd(0.1), rmsprop(0.01), adam(0.001))
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.kind)
+def test_step_updates_theta_and_buffers_in_place(spec):
+    """The same objects come back, overwritten; the gradient is only read."""
     rng = np.random.default_rng(9)
     theta = rng.standard_normal(16)
     g = rng.standard_normal(16)
-    for spec in (sgd(0.1), rmsprop(0.01), adam(0.001)):
-        state = init_state(spec, 16)
-        state = step(state, theta, g)[1]  # warm the buffers
-        theta_c, g_c = theta.copy(), g.copy()
-        buffers_c = {k: v.copy() for k, v in state.buffers.items()}
+    state = init_state(spec, 16)
+    step(state, theta, g)  # warm the buffers
+    theta_before, g_before = theta.copy(), g.copy()
+    buffers = dict(state.buffers)
+    buffers_before = {k: v.copy() for k, v in buffers.items()}
 
-        out1 = step(state, theta, g)
-        out2 = step(state, theta, g)
-        assert np.array_equal(out1[0], out2[0])
+    out_theta, out_state = step(state, theta, g)
+    assert out_theta is theta and out_state is state
+    assert state.t == 2
+    assert not np.array_equal(theta, theta_before)
+    assert state.buffers.keys() == buffers.keys()
+    for k, v in state.buffers.items():
+        assert v is buffers[k]
+        assert not np.array_equal(v, buffers_before[k])
+    assert g.tobytes() == g_before.tobytes()
+
+
+def test_step_is_deterministic_on_copies_of_the_same_inputs():
+    rng = np.random.default_rng(9)
+    theta = rng.standard_normal(16)
+    g = rng.standard_normal(16)
+    for spec in SPECS:
+        state = init_state(spec, 16)
+        step(state, theta.copy(), g)  # warm the buffers
+        runs = [step(copy.deepcopy(state), theta.copy(), g.copy()) for _ in range(2)]
+        (theta1, state1), (theta2, state2) = runs
+        assert theta1.tobytes() == theta2.tobytes()
+        assert state1.t == state2.t == 2
         for k in state.buffers:
-            assert np.array_equal(out1[1].buffers[k], out2[1].buffers[k])
-        # inputs untouched
-        assert np.array_equal(theta, theta_c) and np.array_equal(g, g_c)
-        for k, v in state.buffers.items():
-            assert np.array_equal(v, buffers_c[k])
+            assert state1.buffers[k].tobytes() == state2.buffers[k].tobytes()
 
 
 def test_step_rejects_nonfinite_gradient():
-    with pytest.raises(NonFiniteError):
-        step(init_state(sgd(0.1), 2), vec(0.0, 0.0), vec(1.0, np.nan))
+    """The check runs before any write: theta and the state are left as they were."""
+    for spec in SPECS:
+        for bad in (np.nan, np.inf, -np.inf):
+            state = init_state(spec, 2)
+            theta = vec(0.5, -0.5)
+            step(state, theta, vec(1.0, 2.0))
+            theta_before = theta.copy()
+            buffers_before = {k: v.copy() for k, v in state.buffers.items()}
+            with pytest.raises(NonFiniteError, match="step: gradient contains NaN or Inf"):
+                step(state, theta, vec(1.0, bad))
+            assert theta.tobytes() == theta_before.tobytes() and state.t == 1
+            for k, v in state.buffers.items():
+                assert v.tobytes() == buffers_before[k].tobytes()
+
+
+def test_step_accepts_a_finite_gradient_whose_square_sum_overflows():
+    """<g, g> overflows to inf here, so the guard falls back to an entry scan."""
+    g = vec(1e200, -1e200)
+    theta, _ = step(init_state(sgd(1e-200), 2), vec(0.0, 0.0), g)
+    assert theta.tobytes() == (vec(0.0, 0.0) - g * 1e-200).tobytes()
 
 
 def test_step_rejects_dimension_mismatch():
@@ -253,9 +301,10 @@ def replay_unflushed(spec, n_steps, theta):
 
 
 def run_steps(spec, n_steps, theta):
+    theta = theta.copy()
     state = init_state(spec, theta.shape[0])
     for g in flush_gradients(n_steps):
-        theta, state = step(state, theta, g)
+        step(state, theta, g)
     return theta, state.buffers["v"]
 
 
@@ -288,3 +337,52 @@ def test_rmsprop_keeps_subnormals_when_epsilon_cannot_swamp_them():
     assert is_subnormal(v[2:4]).all()
     np.testing.assert_array_equal(theta, theta_ref)
     np.testing.assert_array_equal(v, v_ref)
+
+
+# ------------------------------------------- in place vs the formulas
+
+# accumulator seeds reach RMSProp's flush at once: subnormal, tiny and normal
+SEED_VALUES = st.sampled_from([0.0, 5e-324, 1e-310, TINY, 1e-300, 1e-3, 1.0])
+GRADIENT_VALUES = st.one_of(
+    st.just(0.0),
+    st.sampled_from([1e-160, -1e-150, 1e-145]),
+    st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False),
+)
+UNIT = st.floats(0.0, 0.999)
+
+
+@st.composite
+def optimizer_specs(draw):
+    kind = draw(st.sampled_from(optim.KINDS))
+    return OptimizerSpec(
+        kind,
+        draw(st.floats(1e-6, 1.0)),
+        rho=draw(UNIT),
+        beta1=draw(UNIT),
+        beta2=draw(UNIT),
+        epsilon=draw(st.sampled_from([1e-8, 1e-3, 1e-128, 1e-130, 1e-200])),
+        decay=draw(st.sampled_from([0.0, 1e-2, 0.5])),
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(spec=optimizer_specs(), n=st.integers(1, 24), n_steps=st.integers(1, 6), data=st.data())
+def test_step_equals_the_out_of_place_formulas(spec, n, n_steps, data):
+    """Every bit of theta and of the accumulators matches the formulas, step by step."""
+    theta = data.draw(arrays(np.float64, n, elements=st.floats(-10.0, 10.0)))
+    state = init_state(spec, n)
+    buffers = zero_buffers(spec, n)
+    for k in buffers:
+        buffers[k][:] = data.draw(arrays(np.float64, n, elements=SEED_VALUES))
+        state.buffers[k][:] = buffers[k]
+    ref = theta.copy()
+    for t in range(n_steps):
+        g = data.draw(arrays(np.float64, n, elements=GRADIENT_VALUES))
+        g_before = g.copy()
+        ref, buffers = pure_step(spec, t, buffers, ref, g)
+        step(state, theta, g)
+        assert theta.tobytes() == ref.tobytes()
+        for k, v in buffers.items():
+            assert state.buffers[k].tobytes() == v.tobytes()
+        assert g.tobytes() == g_before.tobytes()
+    assert state.t == n_steps

@@ -1,4 +1,4 @@
-"""Flat-vector algebra: dot, norms, axpy, and the orthogonal rejection."""
+"""Flat-vector algebra: dot, norms, and the orthogonal rejection."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from profit.errors import DimensionMismatchError, NonFiniteError
 from profit.paramvec import (
     EPS_DEGENERATE,
     as_vector,
-    axpy,
     dot,
     norm,
     orthogonal_reject,
@@ -68,28 +67,6 @@ def test_norms_match_numpy():
     assert norm(v) == pytest.approx(float(np.linalg.norm(v)), rel=1e-15)
     assert isinstance(sq_norm(v), float)
     assert isinstance(norm(v), float)
-
-
-def test_axpy_zero_scale_returns_y():
-    out = axpy(0.0, as_vector([5, 5]), as_vector([1, 2]))
-    assert np.array_equal(out, [1.0, 2.0])
-
-
-def test_axpy_unit_scale_adds():
-    out = axpy(1.0, as_vector([1, 1]), as_vector([0, 0]))
-    assert np.array_equal(out, [1.0, 1.0])
-
-
-def test_axpy_hand_arithmetic():
-    out = axpy(-0.1, as_vector([10, 20]), as_vector([1, 1]))
-    assert out == pytest.approx([0.0, -1.0], abs=1e-15)
-
-
-def test_axpy_validates_scale_and_dims():
-    with pytest.raises(NonFiniteError):
-        axpy(np.nan, as_vector([1.0]), as_vector([1.0]))
-    with pytest.raises(DimensionMismatchError):
-        axpy(1.0, as_vector([1.0]), as_vector([1.0, 2.0]))
 
 
 def test_reject_hand_case():

@@ -6,8 +6,8 @@ import itertools
 import numpy as np
 import pytest
 
-from profit import mlp, toy
-from profit.errors import DimensionMismatchError, NonFiniteError
+from profit import toy
+from profit.errors import NonFiniteError
 from profit.mlp import flatten, zeros_model
 from profit.toy import (
     NEW_DOMAIN,
@@ -18,7 +18,6 @@ from profit.toy import (
     ResultsTable,
     SweepTable,
     ToyDataConfig,
-    apply_head_mask,
     batch_stream,
     evaluate_error,
     evaluation_grid,
@@ -163,21 +162,12 @@ def test_zero_model_grid_errors_match_frozen_values():
     assert evaluate_error(model, NEW_DOMAIN) == pytest.approx(0.5058618407081682, abs=1e-15)
 
 
-# ------------------------------------------------------------ head masking
+# ------------------------------------------------------------ head block
 
 
 def test_head_block_size_standard_dims():
     assert head_block_size() == 501
     assert head_block_size((2, 3, 3, 1)) == 4
-
-
-def test_apply_head_mask_keeps_only_final_block():
-    g = np.arange(1.0, 1.0 + mlp.param_count((2, 3, 3, 1)))
-    masked = apply_head_mask(g, (2, 3, 3, 1))
-    assert not masked[:-4].any()
-    assert np.array_equal(masked[-4:], g[-4:])
-    with pytest.raises(DimensionMismatchError, match="25"):
-        apply_head_mask(np.zeros(7), (2, 3, 3, 1))
 
 
 # ------------------------------------------------------------ plan wiring
