@@ -12,13 +12,15 @@ Layout, all integers little-endian:
     u64          training step count
     u32 + bytes  UTF-8 config digest (sha256 hex, may be empty)
 
-Writes go through a temp file in the target directory followed by an atomic
-rename, so a crash never leaves a half-written checkpoint behind.
+Writes go through a uniquely named temp file in the target directory followed
+by an atomic rename (``write_atomic``), so a crash never leaves a half-written
+checkpoint behind and concurrent writers of one path do not collide.
 """
 
 import json
 import os
 import struct
+import uuid
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -90,9 +92,26 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     digest_bytes = ckpt.config_digest.encode()
     blob += struct.pack("<I", len(digest_bytes)) + digest_bytes
 
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(bytes(blob))
-    os.replace(tmp, path)
+    write_atomic(path, bytes(blob))
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a temporary file and an atomic rename.
+
+    The temporary file gets a unique name in the target's directory, so
+    concurrent writers of one path never share it, and it is removed when
+    the write or the rename fails.
+    """
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    f = open(tmp, "xb")  # exclusive: never truncates a file someone else owns
+    try:
+        with f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class _Reader:

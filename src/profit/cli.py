@@ -12,11 +12,13 @@ Subcommands and their outputs (all under --out-dir):
     evaluate        --checkpoint P [--config C] [--domain original|new] [--out-dir D]
         prints the grid error, writes grid_{domain}.csv (x1,x2,prediction,target)
     sweep           --config C --axis n_ref|lr_ratio [--out-dir D]
-        sweep_{axis}.csv; PROFIT_THREADS caps worker processes (default 1)
+        sweep_{axis}.csv; PROFIT_THREADS caps worker processes (default 1,
+        at most the CPU count)
 
 ``train_loss`` is the loss on the most recently consumed training batch at
 the eval step.  Exit codes: 0 success, 1 usage or config error, 2 runtime,
-checkpoint, or numeric error.  File writes are write-temp-then-rename.
+checkpoint, or numeric error.  File writes go to a uniquely named temporary
+file that is then renamed over the target.
 """
 
 import argparse
@@ -26,10 +28,10 @@ import sys
 from pathlib import Path
 
 from . import optim, toy
-from .checkpoint import Checkpoint, load_checkpoint, rng_state_of, save_checkpoint
+from .checkpoint import Checkpoint, load_checkpoint, rng_state_of, save_checkpoint, write_atomic
 from .core import ProfitStepTrace, run_plain_training, run_profit_training
 from .errors import ConfigError
-from .mlp import flatten, forward, init_model, unflatten
+from .mlp import flatten, forward, init_model, loss_mse, unflatten
 from .runconfig import RunConfig, config_from_text, load_config
 from .toy import (
     STRATEGIES,
@@ -41,6 +43,7 @@ from .toy import (
     evaluation_grid,
     make_rng,
     mlp_gradient_fn,
+    plain_finetune_setup,
     run_ablation_sweep,
     target_function,
 )
@@ -52,12 +55,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         sys.exit(1)
-
-
-def _write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
 
 
 def _out_dir(args, cfg: RunConfig) -> Path:
@@ -110,9 +107,9 @@ def cmd_train_baseline(args) -> int:
     ckpt = Checkpoint(plan.dims, theta, rng_state_of(stream_rng), plan.baseline_steps, cfg.digest())
     ckpt_path = out / f"baseline_seed{seed}.pfit"
     save_checkpoint(ckpt_path, ckpt)
-    _write_text(
+    write_atomic(
         out / f"baseline_metrics_seed{seed}.csv",
-        _metrics_csv(metrics, ("step", "train_loss", "original_error")),
+        _metrics_csv(metrics, ("step", "train_loss", "original_error")).encode(),
     )
     err = evaluate_error(unflatten(theta, plan.dims), plan.original)
     print(f"baseline seed={seed} steps={plan.baseline_steps} original_error={err!r}")
@@ -162,8 +159,7 @@ def cmd_finetune(args) -> int:
             eval_hooks=(hook,), eval_every=cfg.values["eval_every"],
         )
     else:
-        gradient = mlp_gradient_fn(plan.dims, head_only=(strategy == "head"), loss_out=loss_cell)
-        state = optim.init_state(plan.finetune, theta0.shape[0])
+        gradient, state = plain_finetune_setup(plan, strategy, loss_out=loss_cell)
         metrics = []
         theta, state = run_plain_training(
             theta0, state, plan.finetune_steps, stream, gradient,
@@ -176,14 +172,16 @@ def cmd_finetune(args) -> int:
     )
     ckpt_path = out / f"{strategy}_seed{seed}.pfit"
     save_checkpoint(ckpt_path, new_ckpt)
-    _write_text(
+    write_atomic(
         out / f"{strategy}_metrics_seed{seed}.csv",
-        _metrics_csv(metrics, ("step", "train_loss", "original_error", "new_error")),
+        _metrics_csv(metrics, ("step", "train_loss", "original_error", "new_error")).encode(),
     )
     if strategy == "profit":
         trace_lines = [ProfitStepTrace.CSV_HEADER]
         trace_lines += [t.csv_row(i + 1) for i, t in enumerate(traces)]
-        _write_text(out / f"{strategy}_trace_seed{seed}.csv", "\n".join(trace_lines) + "\n")
+        write_atomic(
+            out / f"{strategy}_trace_seed{seed}.csv", ("\n".join(trace_lines) + "\n").encode()
+        )
 
     model = unflatten(theta, plan.dims)
     print(
@@ -201,21 +199,23 @@ def cmd_evaluate(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     data_cfg = plan.original if args.domain == "original" else plan.new
     model = unflatten(ckpt.weights, tuple(ckpt.dims))
-    err = evaluate_error(model, data_cfg)
-    print(repr(err))
-
-    out = _out_dir(args, cfg)
+    # one forward of the grid serves both the printed error and the CSV;
+    # the error is evaluate_error's arithmetic on the same predictions
     pts = evaluation_grid(data_cfg)
     preds = forward(model, pts)
     targets = target_function(pts)
+    print(repr(loss_mse(preds, targets)))
+
+    out = _out_dir(args, cfg)
     lines = ["x1,x2,prediction,target"]
     for (x1, x2), p, t in zip(pts, preds, targets):
         lines.append(f"{float(x1)!r},{float(x2)!r},{float(p)!r},{float(t)!r}")
-    _write_text(out / f"grid_{args.domain}.csv", "\n".join(lines) + "\n")
+    write_atomic(out / f"grid_{args.domain}.csv", ("\n".join(lines) + "\n").encode())
     return 0
 
 
 def _worker_cap() -> int:
+    """Sweep worker processes from ``PROFIT_THREADS``, at most ``os.cpu_count()``."""
     raw = os.environ.get("PROFIT_THREADS", "1")
     try:
         cap = int(raw)
@@ -223,6 +223,13 @@ def _worker_cap() -> int:
         raise ConfigError(f"PROFIT_THREADS must be a positive integer, got {raw!r}") from None
     if cap < 1:
         raise ConfigError(f"PROFIT_THREADS must be a positive integer, got {raw!r}")
+    cpus = os.cpu_count()
+    if cpus is not None and cap > cpus:
+        print(
+            f"warning: PROFIT_THREADS={cap} exceeds the {cpus} CPUs; using {cpus} workers",
+            file=sys.stderr,
+        )
+        return cpus
     return cap
 
 
@@ -231,7 +238,7 @@ def cmd_sweep(args) -> int:
     table = run_ablation_sweep(cfg.plan, args.axis, max_workers=_worker_cap())
     out = _out_dir(args, cfg)
     path = out / f"sweep_{args.axis}.csv"
-    _write_text(path, table.to_csv_text())
+    write_atomic(path, table.to_csv_text().encode())
     for row in table.rows:
         print(
             f"{row.axis}={row.value!r} original_error={row.original_error!r} "

@@ -12,14 +12,17 @@ instantiated once), and the main optimizer's accumulators are never rolled
 back when the weights are restored; only the weights revert.
 
 Ownership: the training loops copy the starting weights once and then update
-that copy in place (see ``optim.step``).  The reference optimizer explores
-on a two-vector workspace (explored point, displacement) allocated once per
-run, so the saved weights are never copied and never leave ``theta``; after
-the displaced gradient is taken, the explored point's vector holds the
-projected gradient.  A gradient array returned by ``gradient_fn`` is only
-read.  Each of <delta, delta>, <g, g> and <delta, g> is computed once, and
-the finite-value guards read those sums, scanning the vector only when a sum
-is not finite.
+that copy in place (see ``optim.step``).  A plain loop steps the trailing
+``state.n`` coordinates of its copy, as a view: every coordinate for full
+training, only the final layer's block for head-only training, so frozen
+coordinates cost no optimizer work.  The reference optimizer explores on a
+two-vector workspace (explored point, displacement) allocated once per run,
+so the saved weights are never copied and never leave ``theta``; after the
+displaced gradient is taken, the explored point's vector holds the projected
+gradient.  A gradient array returned by ``gradient_fn`` is only read.  Each
+of <delta, delta>, <g, g> and <delta, g> is computed once, and the
+finite-value guards read those sums, scanning the vector only when a sum is
+not finite.
 """
 
 import math
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import optim
-from .errors import BatchStreamExhaustedError, NonFiniteError
+from .errors import BatchStreamExhaustedError, DimensionMismatchError, NonFiniteError
 from .optim import OptimizerSpec, OptimizerState
 from .paramvec import dot, norm, orthogonal_reject
 
@@ -172,15 +175,26 @@ def run_plain_training(
     """Ordinary single-optimizer loop, one batch per step.
 
     Copies ``theta`` once on entry, then updates the copy and ``state`` in
-    place; returns both.  Also serves as the warmup phase of PROFIT
-    training, so a warmup-only run is bit-identical to plain fine-tuning on
-    the same stream.
+    place; returns both.  The optimizer steps the trailing ``state.n``
+    coordinates of the copy, a view, and ``gradient_fn`` (which sees the
+    full vector, as do the hooks) returns a gradient of that length; the
+    coordinates before them are never written.  Full training is the case
+    ``state.n == len(theta)``; head-only training passes a head-sized state.
+    Also serves as the warmup phase of PROFIT training, so a warmup-only run
+    is bit-identical to plain fine-tuning on the same stream.
     """
+    n = len(theta)
+    if state.n > n:
+        raise DimensionMismatchError(
+            f"run_plain_training: optimizer state covers {state.n} coordinates, "
+            f"theta has only {n}"
+        )
     theta = np.array(theta, dtype=np.float64)
+    trained = theta[n - state.n :]
     for i in range(n_steps):
         batch = _next_batch(batch_source, 1)
         g = gradient_fn(theta, batch)
-        optim.step(state, theta, g)
+        optim.step(state, trained, g)
         if eval_every and (i + 1) % eval_every == 0 and metrics is not None:
             metrics.append(_run_hooks(eval_hooks, step_offset + i + 1, theta))
     return theta, state

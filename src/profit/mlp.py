@@ -12,7 +12,9 @@ written out for this fixed family; there is no general autodiff graph here.
 
 Flat layout, used by ``flatten``/``unflatten`` and by everything downstream
 that treats the model as one vector: layer 1 weights in row-major order,
-layer 1 bias, layer 2 weights, layer 2 bias, ..., final bias.
+layer 1 bias, layer 2 weights, layer 2 bias, ..., final bias.  The final
+layer's weights and bias are the trailing ``head_block_size(dims)`` entries,
+the block that head-only training works on alone.
 """
 
 from dataclasses import dataclass
@@ -84,6 +86,11 @@ class MlpModel:
 def param_count(dims) -> int:
     """Total flat dimension for an architecture: sum of fan_in*fan_out + fan_out."""
     return sum(d_in * d_out + d_out for d_in, d_out in zip(dims[:-1], dims[1:]))
+
+
+def head_block_size(dims=LAYER_DIMS) -> int:
+    """Flat length of the final layer's weights plus bias: the layout's trailing block."""
+    return dims[-2] * dims[-1] + dims[-1]
 
 
 def zeros_model(dims=LAYER_DIMS) -> MlpModel:
@@ -201,11 +208,13 @@ def backward(
 def backward_head(
     model: MlpModel, batch: Batch, out: np.ndarray | None = None
 ) -> tuple[float, np.ndarray]:
-    """Loss and gradient restricted to the final layer's weights and bias.
+    """Loss and the gradient of the final layer's weights and bias alone.
 
-    Equal to masking ``backward``'s output outside the last layer's block,
-    but skips the frozen layers' backward matmuls entirely.  ``out`` works as
-    in ``backward``; its leading block is zeroed on every call.
+    The gradient has ``head_block_size(model.dims)`` entries and equals the
+    trailing block of ``backward``'s gradient bit for bit (same loss, same
+    products); the frozen layers get no gradient entries at all, and their
+    backward matmuls are skipped.  ``out``, when given, must be a vector of
+    that length; the gradient is written into it and returned.
     """
     _check_inputs(model, batch.inputs)
     n_layers = len(model.weights)
@@ -223,21 +232,17 @@ def backward_head(
     resid = preds - batch.targets
     loss = float(np.dot(resid, resid) / batch.size)
     d = (2.0 / batch.size) * resid[:, None]
+    head = head_block_size(model.dims)
     if out is None:
-        gradient = np.zeros(model.n_params)
-    else:
-        if out.shape != (model.n_params,):
-            raise DimensionMismatchError(
-                f"backward_head: out has shape {out.shape}, expected ({model.n_params},)"
-            )
-        gradient = out
+        out = np.empty(head)
+    elif out.shape != (head,):
+        raise DimensionMismatchError(
+            f"backward_head: out has shape {out.shape}, expected ({head},)"
+        )
     d_in, d_out = model.dims[-2], model.dims[-1]
-    b_start = model.n_params - d_out
-    w_start = b_start - d_in * d_out
-    gradient[:w_start] = 0.0
-    np.matmul(last_hidden.T, d, out=gradient[w_start:b_start].reshape(d_in, d_out))
-    np.sum(d, axis=0, out=gradient[b_start:])
-    return loss, gradient
+    np.matmul(last_hidden.T, d, out=out[: d_in * d_out].reshape(d_in, d_out))
+    np.sum(d, axis=0, out=out[d_in * d_out :])
+    return loss, out
 
 
 def flatten(model: MlpModel) -> np.ndarray:

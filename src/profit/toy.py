@@ -21,7 +21,7 @@ import numpy as np
 from . import mlp, optim
 from .core import ProfitConfig, run_plain_training, run_profit_training
 from .errors import NonFiniteError
-from .mlp import LAYER_DIMS, Batch, MlpModel, backward, flatten, forward, unflatten
+from .mlp import LAYER_DIMS, Batch, MlpModel, backward, flatten, forward, head_block_size, unflatten
 
 GRID_SIZE = 100
 STRATEGIES = ("full", "head", "profit")
@@ -125,13 +125,13 @@ def evaluate_error(model: MlpModel, config: ToyDataConfig, grid_size: int = GRID
     return mlp.loss_mse(preds, target_function(pts))
 
 
-def head_block_size(dims=LAYER_DIMS) -> int:
-    """Flat length of the final layer's weights plus bias."""
-    return dims[-2] * dims[-1] + dims[-1]
-
-
 def mlp_gradient_fn(dims=LAYER_DIMS, head_only: bool = False, loss_out: list | None = None):
     """gradient_fn over flat weights for the training loops.
+
+    The callable takes the full flat weights.  It returns the gradient of
+    every parameter, or with ``head_only`` only that of the final layer's
+    block: ``head_block_size(dims)`` entries, which a loop applies to the
+    trailing slice of the weights (see ``core.run_plain_training``).
 
     ``loss_out``, when given, is a single-element list updated with the most
     recent batch loss (cheap observability for metrics CSVs).
@@ -142,7 +142,7 @@ def mlp_gradient_fn(dims=LAYER_DIMS, head_only: bool = False, loss_out: list | N
     a large allocation per step.
     """
     compute = mlp.backward_head if head_only else backward
-    buffer = np.empty(mlp.param_count(dims))
+    buffer = np.empty(head_block_size(dims) if head_only else mlp.param_count(dims))
 
     def gradient(theta: np.ndarray, batch: Batch) -> np.ndarray:
         model = unflatten(theta, dims, copy=False)  # theta is not written during the call
@@ -215,6 +215,21 @@ def train_baseline(plan: ExperimentPlan, seed: int) -> MlpModel:
     return unflatten(theta, plan.dims)
 
 
+def plain_finetune_setup(
+    plan: ExperimentPlan, strategy: str, loss_out: list | None = None
+) -> tuple:
+    """Gradient function and fresh main-optimizer state for "full" or "head".
+
+    For "head" both cover only the final layer's trailing block, the
+    coordinates ``run_plain_training`` then updates; for "full", every
+    parameter.  ``loss_out`` works as in ``mlp_gradient_fn``.
+    """
+    head_only = strategy == "head"
+    n = head_block_size(plan.dims) if head_only else mlp.param_count(plan.dims)
+    gradient = mlp_gradient_fn(plan.dims, head_only=head_only, loss_out=loss_out)
+    return gradient, optim.init_state(plan.finetune, n)
+
+
 def finetune_model(
     plan: ExperimentPlan, baseline_model: MlpModel, strategy: str, seed: int
 ) -> tuple[MlpModel, list]:
@@ -236,8 +251,7 @@ def finetune_model(
             mlp_gradient_fn(plan.dims),
         )
     else:
-        gradient = mlp_gradient_fn(plan.dims, head_only=(strategy == "head"))
-        state = optim.init_state(plan.finetune, theta0.shape[0])
+        gradient, state = plain_finetune_setup(plan, strategy)
         theta, _ = run_plain_training(theta0, state, plan.finetune_steps, stream, gradient)
     return unflatten(theta, plan.dims), traces
 

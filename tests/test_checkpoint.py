@@ -12,6 +12,7 @@ from profit.checkpoint import (
     restore_rng,
     rng_state_of,
     save_checkpoint,
+    write_atomic,
 )
 from profit.errors import CheckpointError
 from profit.mlp import param_count
@@ -56,6 +57,26 @@ def test_double_save_produces_identical_bytes(tmp_path):
 def test_no_temp_files_left_behind(tmp_path):
     save_checkpoint(tmp_path / "m.ckpt", sample_checkpoint())
     assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+
+def test_save_survives_a_directory_squatting_on_the_old_temp_name(tmp_path):
+    """Another writer's temp file at ``<path>.tmp`` cannot break a save."""
+    path = tmp_path / "m.ckpt"
+    (tmp_path / "m.ckpt.tmp").mkdir()
+    save_checkpoint(path, sample_checkpoint())
+    assert load_checkpoint(path).weights.tobytes() == sample_checkpoint().weights.tobytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt", "m.ckpt.tmp"]
+
+
+def test_a_failed_write_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "taken"
+    (target / "inside").mkdir(parents=True)  # a directory cannot be renamed over
+    with pytest.raises(OSError):
+        write_atomic(target, b"data")
+    with pytest.raises(OSError):
+        save_checkpoint(target, sample_checkpoint())
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    assert [p.name for p in target.iterdir()] == ["inside"]
 
 
 def test_restored_generator_continues_the_same_stream(tmp_path):

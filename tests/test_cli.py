@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from profit import cli
+from profit import cli, toy
 from profit.checkpoint import Checkpoint, load_checkpoint, rng_state_of, save_checkpoint
-from profit.mlp import flatten, init_model, param_count
-from profit.toy import make_rng
+from profit.mlp import flatten, forward, init_model, param_count, unflatten
+from profit.runconfig import load_config
+from profit.toy import evaluate_error, evaluation_grid, make_rng
 
 TINY_CFG = """\
 dims = 2,8,8,1
@@ -199,6 +200,30 @@ def test_evaluate_new_domain_writes_its_own_grid(tmp_path, capsys):
     assert rows[1].split(",")[0] == "0.8"
 
 
+def test_evaluate_forwards_the_grid_once_and_prints_evaluate_error(
+    cfg_path, trained, tmp_path, capsys, monkeypatch
+):
+    rows = []
+
+    def counted(model, inputs):
+        rows.append(inputs.shape[0])
+        return forward(model, inputs)
+
+    monkeypatch.setattr(cli, "forward", counted)
+    monkeypatch.setattr(toy, "forward", counted)  # the name evaluate_error calls
+    out = tmp_path / "eval"
+    args = ("evaluate", "--checkpoint", trained, "--config", cfg_path, "--domain", "new")
+    assert run_cli(*args, "--out-dir", out) == 0
+    assert rows == [100 * 100]
+    ckpt = load_checkpoint(trained)
+    model = unflatten(ckpt.weights, tuple(ckpt.dims))
+    domain = load_config(cfg_path).plan.new
+    assert capsys.readouterr().out == f"{evaluate_error(model, domain)!r}\n"
+    lines = (out / "grid_new.csv").read_text().splitlines()[1:]
+    expected = forward(model, evaluation_grid(domain)).tolist()
+    assert [float(ln.split(",")[2]) for ln in lines] == expected
+
+
 # ---------------------------------------------------------------- sweep
 
 
@@ -228,6 +253,19 @@ def test_sweep_rejects_bad_worker_cap(cfg_path, tmp_path, capsys, monkeypatch, b
     code = run_cli("sweep", "--config", cfg_path, "--axis", "n_ref", "--out-dir", tmp_path / "s")
     assert code == 1
     assert "PROFIT_THREADS must be a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "raw, cpus, expected, warned",
+    [("8", 2, 2, True), ("2", 2, 2, False), ("1", 4, 1, False), ("64", None, 64, False)],
+)
+def test_worker_cap_is_at_most_the_cpu_count(monkeypatch, capsys, raw, cpus, expected, warned):
+    """Tested on ``_worker_cap`` alone, so no pool of that size is ever started."""
+    monkeypatch.setenv("PROFIT_THREADS", raw)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    assert cli._worker_cap() == expected
+    warning = f"warning: PROFIT_THREADS={raw} exceeds the {cpus} CPUs; using {cpus} workers\n"
+    assert capsys.readouterr().err == (warning if warned else "")
 
 
 # ------------------------------------------------------------ exit codes

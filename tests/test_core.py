@@ -17,7 +17,7 @@ from profit.core import (
     run_plain_training,
     run_profit_training,
 )
-from profit.errors import BatchStreamExhaustedError, NonFiniteError
+from profit.errors import BatchStreamExhaustedError, DimensionMismatchError, NonFiniteError
 from profit.paramvec import EPS_DEGENERATE, dot, norm
 
 
@@ -320,6 +320,47 @@ def test_zero_steps_zero_warmup_returns_start_and_consumes_nothing():
     assert traces == [] and metrics == []
 
 
+def test_short_state_steps_only_the_trailing_coordinates():
+    """A state over the last k coordinates: the body and theta0 keep every
+    byte, the tail follows the same steps run on the tail alone, and the
+    gradient function and the hooks see the full vector."""
+    rng = np.random.default_rng(12)
+    theta0 = rng.standard_normal(7)
+    before = theta0.tobytes()
+    center = rng.standard_normal(3)
+    seen, metrics = [], []
+
+    def tail_bowl(theta, batch):
+        seen.append(theta.shape)
+        return theta[-3:] - center
+
+    spec = optim.rmsprop(0.05)
+    theta, state = run_plain_training(
+        theta0, optim.init_state(spec, 3), 6, endless(), tail_bowl,
+        eval_hooks=((lambda step, th: {"n": th.shape[0]}),), eval_every=2, metrics=metrics,
+    )
+    tail, _ = run_plain_training(
+        theta0[-3:], optim.init_state(spec, 3), 6, endless(), bowl_gradient(center),
+    )
+    assert theta0.tobytes() == before
+    assert theta[:4].tobytes() == theta0[:4].tobytes()
+    assert theta[4:].tobytes() == tail.tobytes()
+    assert not np.array_equal(theta[4:], theta0[4:])
+    assert state.t == 6
+    assert seen == [(7,)] * 6
+    assert [m["n"] for m in metrics] == [7, 7, 7]
+
+
+def test_state_longer_than_theta_is_rejected_before_any_batch():
+    batches = iter(range(5))
+    with pytest.raises(DimensionMismatchError, match="covers 4 coordinates, theta has only 3"):
+        run_plain_training(
+            np.zeros(3), optim.init_state(optim.sgd(0.1), 4), 2, batches,
+            constant_gradient(np.ones(4)),
+        )
+    assert next(batches) == 0  # the stream was not touched
+
+
 def test_metrics_cadence_spans_warmup_and_outer_steps():
     seen = []
 
@@ -418,6 +459,18 @@ def formula_profit_run(config, theta, n_steps, batches, gradient_fn):
     return theta, traces
 
 
+def zero_padded(head_gradient_fn, n):
+    """The head gradient scattered into a zero vector of n entries: the old head path."""
+
+    def gradient(theta, batch):
+        g = np.zeros(n)
+        head = head_gradient_fn(theta, batch)
+        g[n - head.shape[0] :] = head
+        return g
+
+    return gradient
+
+
 def wide_batches(domain, stream):
     return toy.batch_stream(domain, WIDE.batch_size, toy.make_rng(0, stream))
 
@@ -433,12 +486,16 @@ def test_full_width_pipeline_equals_the_out_of_place_formulas():
     )
     assert mlp.flatten(base).tobytes() == expected.tobytes()
 
-    for strategy in ("full", "head"):
+    # the reference steps every coordinate; the head's gradient is zero-padded
+    n = mlp.param_count(WIDE.dims)
+    for strategy, gradient in (
+        ("full", toy.mlp_gradient_fn(WIDE.dims)),
+        ("head", zero_padded(toy.mlp_gradient_fn(WIDE.dims, head_only=True), n)),
+    ):
         tuned, _ = toy.finetune_model(WIDE, base, strategy, 0)
         expected = formula_plain_run(
             WIDE.finetune, mlp.flatten(base), WIDE.finetune_steps,
-            wide_batches(WIDE.new, toy.STREAM_FINETUNE),
-            toy.mlp_gradient_fn(WIDE.dims, head_only=(strategy == "head")),
+            wide_batches(WIDE.new, toy.STREAM_FINETUNE), gradient,
         )
         assert mlp.flatten(tuned).tobytes() == expected.tobytes(), strategy
 

@@ -12,6 +12,7 @@ from profit.mlp import (
     backward_head,
     flatten,
     forward,
+    head_block_size,
     init_model,
     loss_mse,
     param_count,
@@ -245,17 +246,17 @@ def test_backward_out_buffer_matches_fresh_allocation():
 # ----------------------------------------------------------- head gradient
 
 
-def test_backward_head_equals_masked_full_gradient():
+def test_backward_head_equals_the_last_block_of_backward():
+    """Same loss, and the trailing head block of the full gradient bit for bit."""
     rng = np.random.default_rng(33)
     model = init_model((2, 6, 5, 1), rng)
     batch = Batch(rng.standard_normal((4, 2)), rng.standard_normal(4))
     loss_full, g_full = backward(model, batch)
     loss_head, g_head = backward_head(model, batch)
-    head = 5 * 1 + 1
-    masked = np.zeros_like(g_full)
-    masked[-head:] = g_full[-head:]
+    assert head_block_size(model.dims) == 5 * 1 + 1
     assert loss_head == loss_full
-    assert np.array_equal(g_head, masked)
+    assert g_head.shape == (6,)
+    assert g_head.tobytes() == g_full[-6:].tobytes()
 
 
 def test_backward_head_single_layer_equals_full():
@@ -264,14 +265,17 @@ def test_backward_head_single_layer_equals_full():
     assert np.array_equal(backward_head(model, batch)[1], backward(model, batch)[1])
 
 
-def test_backward_head_out_buffer_is_rezeroed_each_call():
+def test_backward_head_writes_into_a_head_sized_out_and_rejects_a_parameter_sized_one():
     rng = np.random.default_rng(40)
     model = init_model((2, 4, 3, 1), rng)
     batch = Batch(rng.standard_normal((3, 2)), rng.standard_normal(3))
-    buf = np.full(model.n_params, 123.0)
+    head = head_block_size(model.dims)
+    buf = np.full(head, 123.0)
     _, g = backward_head(model, batch, out=buf)
-    head = 3 * 1 + 1
-    assert not g[:-head].any()
+    assert g is buf
+    assert g.tobytes() == backward(model, batch)[1][-head:].tobytes()
+    with pytest.raises(DimensionMismatchError, match=rf"expected \({head},\)"):
+        backward_head(model, batch, out=np.zeros(model.n_params))
 
 
 # ------------------------------------------------------- flatten / unflatten

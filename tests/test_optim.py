@@ -386,3 +386,42 @@ def test_step_equals_the_out_of_place_formulas(spec, n, n_steps, data):
             assert state.buffers[k].tobytes() == v.tobytes()
         assert g.tobytes() == g_before.tobytes()
     assert state.t == n_steps
+
+
+# ------------------------------------------- a tail slice vs zero padding
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    spec=optimizer_specs(),
+    n_frozen=st.integers(1, 12),
+    n_head=st.integers(1, 12),
+    n_steps=st.integers(1, 6),
+    data=st.data(),
+)
+def test_steps_on_a_tail_slice_equal_full_steps_with_a_zero_padded_gradient(
+    spec, n_frozen, n_head, n_steps, data
+):
+    """Head-only training steps only the trailing block; the old path stepped
+    every coordinate with the head gradient zero-padded.  From a fresh state
+    the two give the same bytes: a frozen coordinate's accumulators start at
+    0 and stay 0 under a zero gradient, so its update is exactly 0.  The
+    fresh state is what makes this hold: a warmed Adam ``m`` keeps moving a
+    frozen weight after its gradient turns zero."""
+    n = n_frozen + n_head
+    theta0 = data.draw(arrays(np.float64, n, elements=st.floats(-10.0, 10.0)))
+    padded, sliced = theta0.copy(), theta0.copy()
+    full_state, head_state = init_state(spec, n), init_state(spec, n_head)
+    tail = sliced[n_frozen:]
+    for _ in range(n_steps):
+        g_head = data.draw(arrays(np.float64, n_head, elements=GRADIENT_VALUES))
+        g = np.concatenate([np.zeros(n_frozen), g_head])
+        step(full_state, padded, g)
+        step(head_state, tail, g_head)
+    assert sliced.tobytes() == padded.tobytes()
+    assert sliced[:n_frozen].tobytes() == theta0[:n_frozen].tobytes()
+    for k, v in full_state.buffers.items():
+        assert head_state.buffers[k].tobytes() == v[n_frozen:].tobytes()
+        assert not v[:n_frozen].any()
+    assert head_state.t == full_state.t == n_steps
+
