@@ -163,7 +163,10 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"corrupt checkpoint: bad generator state blob ({exc})") from exc
     step_count = r.u64("step count")
     digest_len = r.u32("digest length")
-    config_digest = r.take(digest_len, "config digest").decode()
+    try:
+        config_digest = r.take(digest_len, "config digest").decode()
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"corrupt checkpoint: bad config digest ({exc})") from exc
     if r.pos != len(r.buf):
         raise CheckpointError(f"trailing bytes after checkpoint payload ({len(r.buf) - r.pos})")
     return Checkpoint(dims, weights, rng_state, step_count, config_digest)

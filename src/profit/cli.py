@@ -16,7 +16,11 @@ Subcommands and their outputs (all under --out-dir):
         at most the CPU count)
 
 ``train_loss`` is the loss on the most recently consumed training batch at
-the eval step.  Exit codes: 0 success, 1 usage or config error, 2 runtime,
+the eval step.  ``train-baseline`` and ``finetune`` print the errors of the
+last metrics row when it was taken at the final step (``baseline.steps``, or
+``finetune.steps``, plus ``profit.warmup_steps`` for PROFIT): that hook saw
+the weights that are saved.  Only otherwise, with no such row, are the grids
+forwarded again.  Exit codes: 0 success, 1 usage or config error, 2 runtime,
 checkpoint, or numeric error.  File writes go to a uniquely named temporary
 file that is then renamed over the target.
 """
@@ -78,6 +82,19 @@ def _metrics_csv(metrics: list, columns: tuple) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _final_errors(metrics: list, final_step: int, theta, plan, domains: tuple) -> list:
+    """Grid errors of the final weights ``theta`` on each of ``domains``.
+
+    Reuses the last metrics entry when it was taken at ``final_step``, since
+    its eval hook forwarded the grids at these same weights; otherwise
+    forwards each grid now.
+    """
+    if metrics and metrics[-1]["step"] == final_step:
+        return [metrics[-1][f"{domain}_error"] for domain in domains]
+    model = unflatten(theta, plan.dims)
+    return [evaluate_error(model, getattr(plan, domain)) for domain in domains]
+
+
 def cmd_train_baseline(args) -> int:
     cfg = load_config(args.config)
     plan = cfg.plan
@@ -111,7 +128,7 @@ def cmd_train_baseline(args) -> int:
         out / f"baseline_metrics_seed{seed}.csv",
         _metrics_csv(metrics, ("step", "train_loss", "original_error")).encode(),
     )
-    err = evaluate_error(unflatten(theta, plan.dims), plan.original)
+    (err,) = _final_errors(metrics, plan.baseline_steps, theta, plan, ("original",))
     print(f"baseline seed={seed} steps={plan.baseline_steps} original_error={err!r}")
     print(f"wrote {ckpt_path}")
     return 0
@@ -183,11 +200,15 @@ def cmd_finetune(args) -> int:
             out / f"{strategy}_trace_seed{seed}.csv", ("\n".join(trace_lines) + "\n").encode()
         )
 
-    model = unflatten(theta, plan.dims)
+    final_step = plan.finetune_steps
+    if strategy == "profit":
+        final_step += plan.warmup_steps
+    original_error, new_error = _final_errors(
+        metrics, final_step, theta, plan, ("original", "new")
+    )
     print(
         f"{strategy} seed={seed} steps={plan.finetune_steps} "
-        f"original_error={evaluate_error(model, plan.original)!r} "
-        f"new_error={evaluate_error(model, plan.new)!r}"
+        f"original_error={original_error!r} new_error={new_error!r}"
     )
     print(f"wrote {ckpt_path}")
     return 0

@@ -177,3 +177,36 @@ def test_rng_state_is_json_safe():
     state = rng_state_of(make_rng(3, 1))
     json.dumps(state)  # no numpy scalars may remain
     assert state["bit_generator"] == "Philox"
+
+
+def test_every_truncation_and_single_bit_flip_loads_or_raises_checkpoint_error(tmp_path):
+    """No corruption of a small checkpoint escapes as any other exception type."""
+    dims = (2, 4, 4, 1)
+    ckpt = Checkpoint(
+        dims, np.random.default_rng(2).standard_normal(param_count(dims)),
+        rng_state_of(make_rng(0)), 40, "0123456789abcdef" * 4,
+    )
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, ckpt)
+    blob = path.read_bytes()
+    digest_at = len(blob) - 64
+
+    def outcome(data: bytes) -> str:
+        path.write_bytes(data)
+        try:
+            load_checkpoint(path)
+        except CheckpointError as exc:
+            return str(exc)
+        return "loaded"
+
+    for cut in range(len(blob)):
+        assert outcome(blob[:cut]) != "loaded"
+    corrupt_digests = 0
+    for bit in range(8 * len(blob)):
+        flipped = bytearray(blob)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        result = outcome(bytes(flipped))
+        if bit // 8 >= digest_at and bit % 8 == 7:  # a byte that is no longer ASCII
+            assert result.startswith("corrupt checkpoint: bad config digest")
+            corrupt_digests += 1
+    assert corrupt_digests == 64

@@ -26,6 +26,26 @@ def cfg_path(tmp_path):
     return path
 
 
+def config_text(overrides: dict) -> str:
+    """``TINY_CFG`` with each key in ``overrides`` set (replaced or appended)."""
+    lines = [ln for ln in TINY_CFG.splitlines() if ln.split(" = ")[0] not in overrides]
+    return "\n".join(lines + [f"{k} = {v}" for k, v in overrides.items()]) + "\n"
+
+
+def count_grid_forwards(monkeypatch) -> list:
+    """Patch both names the CLI forwards through; returns the growing list of grid rows."""
+    rows = []
+
+    def counted(model, inputs):
+        if inputs.shape[0] == 100 * 100:
+            rows.append(inputs.shape[0])
+        return forward(model, inputs)
+
+    monkeypatch.setattr(cli, "forward", counted)
+    monkeypatch.setattr(toy, "forward", counted)  # the name evaluate_error calls
+    return rows
+
+
 def run_cli(*argv) -> int:
     return cli.main([str(a) for a in argv])
 
@@ -163,6 +183,72 @@ def test_finetune_rejects_architecture_mismatch(cfg_path, tmp_path, capsys):
     assert "does not match configured dims" in capsys.readouterr().err
 
 
+# -------------------------------------------------------- final errors
+
+# (command, strategy, config overrides, grid forwards in the eval hooks,
+#  grid forwards after training); TINY_CFG trains 40 baseline and 12
+#  fine-tuning steps with eval_every = 5
+FINAL_ERROR_CASES = [
+    ("train-baseline", None, {}, 8, 0),  # rows at 5..40
+    ("train-baseline", None, {"baseline.steps": 42}, 8, 1),
+    ("train-baseline", None, {"eval_every": 50}, 0, 1),  # no rows (eval_every must be >= 1)
+    ("finetune", "profit", {"finetune.steps": 10}, 4, 0),  # rows at 5, 10
+    ("finetune", "full", {"finetune.steps": 10}, 4, 0),
+    ("finetune", "head", {"finetune.steps": 10}, 4, 0),
+    ("finetune", "profit", {}, 4, 2),  # rows at 5, 10; final step 12
+    ("finetune", "full", {}, 4, 2),
+    ("finetune", "head", {}, 4, 2),
+    ("finetune", "profit", {"profit.warmup_steps": 3, "finetune.steps": 10}, 4, 0),  # 8, 13
+    ("finetune", "profit", {"profit.warmup_steps": 3}, 4, 2),  # rows at 8, 13; final 15
+    ("finetune", "full", {"profit.warmup_steps": 3, "finetune.steps": 10}, 4, 0),
+    ("finetune", "profit", {"finetune.steps": 0}, 0, 2),
+    ("finetune", "profit", {"finetune.steps": 0, "profit.warmup_steps": 5}, 2, 0),
+    ("finetune", "profit", {"finetune.steps": 0, "profit.warmup_steps": 7}, 2, 2),
+    ("finetune", "profit", {"eval_every": 50}, 0, 2),
+]
+
+
+@pytest.mark.parametrize(
+    "command, strategy, overrides, hook_forwards, final_forwards", FINAL_ERROR_CASES
+)
+def test_final_errors_reuse_the_last_hook_only_at_the_final_step(
+    command, strategy, overrides, hook_forwards, final_forwards, trained, tmp_path, capsys,
+    monkeypatch,
+):
+    """The grids are forwarded after training only when no metrics row was taken
+    at the final step, and every output equals a run that always forwards them."""
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(config_text(overrides))
+    out = tmp_path / "case"
+    argv = [command, "--config", cfg, "--out-dir", out]
+    if strategy is not None:
+        argv += ["--checkpoint", trained, "--strategy", strategy]
+    grid_rows = count_grid_forwards(monkeypatch)
+
+    def outputs():
+        grid_rows.clear()
+        assert run_cli(*argv) == 0
+        captured = capsys.readouterr()
+        files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        return captured.out, captured.err, files, len(grid_rows)
+
+    reused = outputs()
+    final_errors = cli._final_errors
+    monkeypatch.setattr(cli, "_final_errors", lambda metrics, *rest: final_errors([], *rest))
+    fresh = outputs()
+    domains = ("original",) if command == "train-baseline" else ("original", "new")
+    assert reused[3] == hook_forwards + final_forwards
+    assert fresh[3] == hook_forwards + len(domains)
+    assert reused[:3] == fresh[:3]
+
+    # the printed errors are those of the saved weights
+    saved = load_checkpoint(next(out.glob("*.pfit")))
+    model = unflatten(saved.weights, tuple(saved.dims))
+    plan = load_config(cfg).plan
+    for domain in domains:
+        assert f"{domain}_error={evaluate_error(model, getattr(plan, domain))!r}" in reused[0]
+
+
 # ------------------------------------------------------------- evaluate
 
 
@@ -203,14 +289,7 @@ def test_evaluate_new_domain_writes_its_own_grid(tmp_path, capsys):
 def test_evaluate_forwards_the_grid_once_and_prints_evaluate_error(
     cfg_path, trained, tmp_path, capsys, monkeypatch
 ):
-    rows = []
-
-    def counted(model, inputs):
-        rows.append(inputs.shape[0])
-        return forward(model, inputs)
-
-    monkeypatch.setattr(cli, "forward", counted)
-    monkeypatch.setattr(toy, "forward", counted)  # the name evaluate_error calls
+    rows = count_grid_forwards(monkeypatch)
     out = tmp_path / "eval"
     args = ("evaluate", "--checkpoint", trained, "--config", cfg_path, "--domain", "new")
     assert run_cli(*args, "--out-dir", out) == 0
@@ -298,3 +377,39 @@ def test_invalid_strategy_flag_exits_one(cfg_path, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(*finetune_args(cfg_path, tmp_path / "x.pfit", tmp_path / "o", "adapter"))
     assert exc.value.code == 1
+
+
+def test_evaluate_on_a_digest_flipped_checkpoint_exits_two(trained, tmp_path, capsys):
+    blob = bytearray(trained.read_bytes())
+    blob[-1] ^= 0x80  # the digest's last hex character is no longer UTF-8
+    flipped = tmp_path / "flipped.pfit"
+    flipped.write_bytes(bytes(blob))
+    out = tmp_path / "eval"
+    assert run_cli("evaluate", "--checkpoint", flipped, "--out-dir", out) == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error: corrupt checkpoint")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, section",
+    [
+        (("train-baseline",), "baseline"),
+        (("finetune", "--strategy", "profit"), "finetune"),
+        (("finetune", "--strategy", "full"), "finetune"),
+        (("finetune", "--strategy", "head"), "finetune"),
+        (("sweep", "--axis", "n_ref"), "baseline"),
+        (("sweep", "--axis", "n_ref"), "finetune"),
+    ],
+)
+def test_non_finite_rates_exit_two_and_leave_no_output(argv, section, trained, tmp_path, capsys):
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(config_text({f"{section}.optimizer": "sgd", f"{section}.lr": "1e308"}))
+    out = tmp_path / "failed"
+    if argv[0] == "finetune":
+        argv += ("--checkpoint", trained)
+    with np.errstate(over="ignore"):
+        code = run_cli(*argv, "--config", cfg, "--out-dir", out)
+    assert code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("error: ") and "non-finite" in last
+    assert not out.exists() or list(out.iterdir()) == []  # no .pfit, CSV or .tmp file

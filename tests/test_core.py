@@ -171,6 +171,30 @@ def test_weights_are_restored_before_the_main_update():
     assert not np.array_equal(calls[-1], theta0)
 
 
+def test_sgd_reference_gate_fires_exactly_when_consecutive_gradients_agree():
+    """With one SGD reference step, delta = -lr_ref * g_ref up to rounding, so
+    sign(omega) = -sign(<g_ref, g>): the gate fires on agreement, not conflict.
+    Pairs within 1e-6 of orthogonal are skipped, where rounding may decide."""
+    rng = np.random.default_rng(11)
+    checked = 0
+    for _ in range(500):
+        n = int(rng.integers(1, 40))
+        g_ref, g = rng.standard_normal(n), rng.standard_normal(n)
+        cos = dot(g_ref, g) / (norm(g_ref) * norm(g))
+        if abs(cos) < 1e-6:
+            continue
+        config = sgd_config(lr_ref=float(10.0 ** rng.uniform(-4, 0)))
+        main_state, ref_state = make_states(config, n)
+        feed = iter([g_ref, g])
+        _, _, _, trace = profit_step(
+            rng.standard_normal(n), config, main_state, ref_state, endless(),
+            lambda theta, batch: next(feed),
+        )
+        assert np.sign(trace.omega) == -np.sign(cos)
+        checked += 1
+    assert checked > 450
+
+
 # --------------------------------------------------- zero-update guarantee
 
 
