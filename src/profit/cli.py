@@ -31,7 +31,9 @@ import os
 import sys
 from pathlib import Path
 
-from . import optim, toy
+import numpy as np
+
+from . import toy
 from .checkpoint import Checkpoint, load_checkpoint, rng_state_of, save_checkpoint, write_atomic
 from .core import ProfitStepTrace, run_plain_training, run_profit_training
 from .errors import ConfigError
@@ -43,11 +45,12 @@ from .toy import (
     STREAM_FINETUNE,
     STREAM_INIT,
     batch_stream,
+    csv_text,
     evaluate_error,
     evaluation_grid,
     make_rng,
     mlp_gradient_fn,
-    plain_finetune_setup,
+    plain_setup,
     run_ablation_sweep,
     target_function,
 )
@@ -71,15 +74,10 @@ def _seed(args, plan) -> int:
     return args.seed if args.seed is not None else plan.seeds[0]
 
 
-def _metrics_csv(metrics: list, columns: tuple) -> str:
-    lines = [",".join(columns)]
-    for entry in metrics:
-        cells = []
-        for col in columns:
-            v = entry[col]
-            cells.append(str(v) if isinstance(v, int) else repr(float(v)))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+def _grid_errors(theta, plan, domains: tuple) -> dict:
+    """``{"<domain>_error": grid error}`` of the weights ``theta`` on each of ``domains``."""
+    model = unflatten(theta, plan.dims)
+    return {f"{domain}_error": evaluate_error(model, getattr(plan, domain)) for domain in domains}
 
 
 def _final_errors(metrics: list, final_step: int, theta, plan, domains: tuple) -> list:
@@ -91,47 +89,70 @@ def _final_errors(metrics: list, final_step: int, theta, plan, domains: tuple) -
     """
     if metrics and metrics[-1]["step"] == final_step:
         return [metrics[-1][f"{domain}_error"] for domain in domains]
-    model = unflatten(theta, plan.dims)
-    return [evaluate_error(model, getattr(plan, domain)) for domain in domains]
+    return list(_grid_errors(theta, plan, domains).values())
+
+
+def _train_and_save(
+    cfg: RunConfig, out: Path, seed: int, strategy: str, theta0, start_count: int
+) -> int:
+    """Train ``theta0``, write the checkpoint, metrics and trace, and print the report.
+
+    ``strategy`` is "baseline" (trained on the original domain) or one of
+    ``STRATEGIES`` (fine-tuned on the new domain); it prefixes every file
+    name.  ``start_count`` is the step count of the starting weights.
+    """
+    plan = cfg.plan
+    baseline = strategy == "baseline"
+    steps = plan.baseline_steps if baseline else plan.finetune_steps
+    domains = ("original",) if baseline else ("original", "new")
+    stream_rng = make_rng(seed, STREAM_BASELINE if baseline else STREAM_FINETUNE)
+    stream = batch_stream(plan.original if baseline else plan.new, plan.batch_size, stream_rng)
+    loss_cell = [math.nan]
+
+    def hook(step, th):
+        return {"train_loss": loss_cell[0], **_grid_errors(th, plan, domains)}
+
+    hooks = {"eval_hooks": (hook,), "eval_every": cfg.values["eval_every"]}
+    traces: list = []
+    metrics: list = []
+    final_step = steps
+    if strategy == "profit":
+        gradient = mlp_gradient_fn(plan.dims, loss_out=loss_cell)
+        theta, traces, metrics = run_profit_training(
+            theta0, plan.profit_config(), steps, stream, gradient, **hooks
+        )
+        final_step += plan.warmup_steps
+    else:
+        gradient, state = plain_setup(plan, strategy, loss_out=loss_cell)
+        theta, _ = run_plain_training(
+            theta0, state, steps, stream, gradient, metrics=metrics, **hooks
+        )
+
+    ckpt = Checkpoint(plan.dims, theta, rng_state_of(stream_rng), start_count + steps, cfg.digest())
+    ckpt_path = out / f"{strategy}_seed{seed}.pfit"
+    save_checkpoint(ckpt_path, ckpt)
+    columns = ("step", "train_loss") + tuple(f"{domain}_error" for domain in domains)
+    write_atomic(
+        out / f"{strategy}_metrics_seed{seed}.csv",
+        csv_text(",".join(columns), ([entry[c] for c in columns] for entry in metrics)).encode(),
+    )
+    if strategy == "profit":
+        lines = [ProfitStepTrace.CSV_HEADER] + [t.csv_row(i + 1) for i, t in enumerate(traces)]
+        write_atomic(out / f"profit_trace_seed{seed}.csv", ("\n".join(lines) + "\n").encode())
+
+    errors = _final_errors(metrics, final_step, theta, plan, domains)
+    report = " ".join(f"{domain}_error={err!r}" for domain, err in zip(domains, errors))
+    print(f"{strategy} seed={seed} steps={steps} {report}")
+    print(f"wrote {ckpt_path}")
+    return 0
 
 
 def cmd_train_baseline(args) -> int:
     cfg = load_config(args.config)
-    plan = cfg.plan
-    seed = _seed(args, plan)
+    seed = _seed(args, cfg.plan)
     out = _out_dir(args, cfg)
-
-    model = init_model(plan.dims, make_rng(seed, STREAM_INIT))
-    theta = flatten(model)
-    state = optim.init_state(plan.baseline, theta.shape[0])
-    stream_rng = make_rng(seed, STREAM_BASELINE)
-    stream = batch_stream(plan.original, plan.batch_size, stream_rng)
-    loss_cell = [math.nan]
-    gradient = mlp_gradient_fn(plan.dims, loss_out=loss_cell)
-
-    def hook(step, th):
-        return {
-            "train_loss": loss_cell[0],
-            "original_error": evaluate_error(unflatten(th, plan.dims), plan.original),
-        }
-
-    metrics: list = []
-    theta, state = run_plain_training(
-        theta, state, plan.baseline_steps, stream, gradient,
-        eval_hooks=(hook,), eval_every=cfg.values["eval_every"], metrics=metrics,
-    )
-
-    ckpt = Checkpoint(plan.dims, theta, rng_state_of(stream_rng), plan.baseline_steps, cfg.digest())
-    ckpt_path = out / f"baseline_seed{seed}.pfit"
-    save_checkpoint(ckpt_path, ckpt)
-    write_atomic(
-        out / f"baseline_metrics_seed{seed}.csv",
-        _metrics_csv(metrics, ("step", "train_loss", "original_error")).encode(),
-    )
-    (err,) = _final_errors(metrics, plan.baseline_steps, theta, plan, ("original",))
-    print(f"baseline seed={seed} steps={plan.baseline_steps} original_error={err!r}")
-    print(f"wrote {ckpt_path}")
-    return 0
+    theta = flatten(init_model(cfg.plan.dims, make_rng(seed, STREAM_INIT)))
+    return _train_and_save(cfg, out, seed, "baseline", theta, 0)
 
 
 def cmd_finetune(args) -> int:
@@ -154,64 +175,7 @@ def cmd_finetune(args) -> int:
             "to perform no better than random guessing",
             file=sys.stderr,
         )
-
-    theta0 = ckpt.weights
-    stream_rng = make_rng(seed, STREAM_FINETUNE)
-    stream = batch_stream(plan.new, plan.batch_size, stream_rng)
-    loss_cell = [math.nan]
-
-    def hook(step, th):
-        model = unflatten(th, plan.dims)
-        return {
-            "train_loss": loss_cell[0],
-            "original_error": evaluate_error(model, plan.original),
-            "new_error": evaluate_error(model, plan.new),
-        }
-
-    traces: list = []
-    if strategy == "profit":
-        gradient = mlp_gradient_fn(plan.dims, loss_out=loss_cell)
-        theta, traces, metrics = run_profit_training(
-            theta0, plan.profit_config(), plan.finetune_steps, stream, gradient,
-            eval_hooks=(hook,), eval_every=cfg.values["eval_every"],
-        )
-    else:
-        gradient, state = plain_finetune_setup(plan, strategy, loss_out=loss_cell)
-        metrics = []
-        theta, state = run_plain_training(
-            theta0, state, plan.finetune_steps, stream, gradient,
-            eval_hooks=(hook,), eval_every=cfg.values["eval_every"], metrics=metrics,
-        )
-
-    new_ckpt = Checkpoint(
-        plan.dims, theta, rng_state_of(stream_rng),
-        ckpt.step_count + plan.finetune_steps, cfg.digest(),
-    )
-    ckpt_path = out / f"{strategy}_seed{seed}.pfit"
-    save_checkpoint(ckpt_path, new_ckpt)
-    write_atomic(
-        out / f"{strategy}_metrics_seed{seed}.csv",
-        _metrics_csv(metrics, ("step", "train_loss", "original_error", "new_error")).encode(),
-    )
-    if strategy == "profit":
-        trace_lines = [ProfitStepTrace.CSV_HEADER]
-        trace_lines += [t.csv_row(i + 1) for i, t in enumerate(traces)]
-        write_atomic(
-            out / f"{strategy}_trace_seed{seed}.csv", ("\n".join(trace_lines) + "\n").encode()
-        )
-
-    final_step = plan.finetune_steps
-    if strategy == "profit":
-        final_step += plan.warmup_steps
-    original_error, new_error = _final_errors(
-        metrics, final_step, theta, plan, ("original", "new")
-    )
-    print(
-        f"{strategy} seed={seed} steps={plan.finetune_steps} "
-        f"original_error={original_error!r} new_error={new_error!r}"
-    )
-    print(f"wrote {ckpt_path}")
-    return 0
+    return _train_and_save(cfg, out, seed, strategy, ckpt.weights, ckpt.step_count)
 
 
 def cmd_evaluate(args) -> int:
@@ -228,10 +192,9 @@ def cmd_evaluate(args) -> int:
     print(repr(loss_mse(preds, targets)))
 
     out = _out_dir(args, cfg)
-    lines = ["x1,x2,prediction,target"]
-    for (x1, x2), p, t in zip(pts, preds, targets):
-        lines.append(f"{float(x1)!r},{float(x2)!r},{float(p)!r},{float(t)!r}")
-    write_atomic(out / f"grid_{args.domain}.csv", ("\n".join(lines) + "\n").encode())
+    rows = zip(*pts.T.tolist(), preds.tolist(), targets.tolist())
+    text = csv_text("x1,x2,prediction,target", rows)
+    write_atomic(out / f"grid_{args.domain}.csv", text.encode())
     return 0
 
 
@@ -241,7 +204,7 @@ def _worker_cap() -> int:
     try:
         cap = int(raw)
     except ValueError:
-        raise ConfigError(f"PROFIT_THREADS must be a positive integer, got {raw!r}") from None
+        cap = 0
     if cap < 1:
         raise ConfigError(f"PROFIT_THREADS must be a positive integer, got {raw!r}")
     cpus = os.cpu_count()
@@ -306,7 +269,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # the finite-value guards report overflow as an error line of their
+        # own; numpy's warnings would print source paths ahead of it
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -191,20 +191,27 @@ def run_plain_training(
         )
     theta = np.array(theta, dtype=np.float64)
     trained = theta[n - state.n :]
-    for i in range(n_steps):
-        batch = _next_batch(batch_source, 1)
-        g = gradient_fn(theta, batch)
-        optim.step(state, trained, g)
-        if eval_every and (i + 1) % eval_every == 0 and metrics is not None:
-            metrics.append(_run_hooks(eval_hooks, step_offset + i + 1, theta))
+
+    def update():
+        optim.step(state, trained, gradient_fn(theta, _next_batch(batch_source, 1)))
+
+    _train_loop(theta, update, n_steps, eval_hooks, eval_every, metrics, step_offset)
     return theta, state
 
 
-def _run_hooks(eval_hooks, step: int, theta: np.ndarray) -> dict:
-    entry = {"step": step}
-    for hook in eval_hooks:
-        entry.update(hook(step, theta))
-    return entry
+def _train_loop(theta, update, n_steps, eval_hooks, eval_every, metrics, step_offset) -> None:
+    """Call ``update()``, an in-place update of ``theta``, ``n_steps`` times.
+
+    Every ``eval_every`` calls (0: never) the hooks' entry on ``theta``,
+    numbered from ``step_offset``, is appended to ``metrics``.
+    """
+    for i in range(n_steps):
+        update()
+        if eval_every and (i + 1) % eval_every == 0 and metrics is not None:
+            entry = {"step": step_offset + i + 1}
+            for hook in eval_hooks:
+                entry.update(hook(entry["step"], theta))
+            metrics.append(entry)
 
 
 def run_profit_training(
@@ -221,11 +228,12 @@ def run_profit_training(
     ``n_steps`` counts main-optimizer updates; the extra reference batches
     are bookkept in the returned traces.  ``eval_hooks`` are callables
     ``(step, theta) -> dict`` merged into a metrics entry every
-    ``eval_every`` main updates (0 disables); the weights a hook sees are
-    updated in place afterwards, so a hook that keeps them must copy them.
-    ``theta0`` itself is never written.  The starting weights are assumed to
-    come from a converged model; that precondition cannot be checked here
-    and violating it gives poor results.
+    ``eval_every`` main updates (0 disables), counted from the start of
+    warmup; the weights a hook sees are updated in place afterwards, so a
+    hook that keeps them must copy them.  ``theta0`` itself is never
+    written.  The starting weights are assumed to come from a converged
+    model; that precondition cannot be checked here and violating it gives
+    poor results.
 
     Returns ``(theta_final, traces, metrics)``.
     """
@@ -244,16 +252,15 @@ def run_profit_training(
         eval_hooks,
         eval_every,
         metrics,
-        step_offset=0,
     )
 
     workspace = profit_workspace(n)
-    offset = config.warmup_steps
-    for i in range(n_steps):
-        theta, main_state, ref_state, trace = profit_step(
+
+    def update():
+        *_, trace = profit_step(
             theta, config, main_state, ref_state, batch_source, gradient_fn, workspace
         )
         traces.append(trace)
-        if eval_every and (i + 1) % eval_every == 0:
-            metrics.append(_run_hooks(eval_hooks, offset + i + 1, theta))
+
+    _train_loop(theta, update, n_steps, eval_hooks, eval_every, metrics, config.warmup_steps)
     return theta, traces, metrics

@@ -93,12 +93,6 @@ def head_block_size(dims=LAYER_DIMS) -> int:
     return dims[-2] * dims[-1] + dims[-1]
 
 
-def zeros_model(dims=LAYER_DIMS) -> MlpModel:
-    weights = tuple(np.zeros((a, b)) for a, b in zip(dims[:-1], dims[1:]))
-    biases = tuple(np.zeros(b) for b in dims[1:])
-    return MlpModel(weights, biases)
-
-
 def init_model(dims=LAYER_DIMS, rng: np.random.Generator | None = None) -> MlpModel:
     """Symmetric uniform init, +-sqrt(6 / (fan_in + fan_out)) per layer, zero biases."""
     if rng is None:
@@ -156,53 +150,7 @@ def backward(
     Raises ``NonFiniteError`` naming the first layer whose pre-activation
     overflows, so a diverging run fails loudly instead of propagating NaNs.
     """
-    _check_inputs(model, batch.inputs)
-    n_layers = len(model.weights)
-
-    # forward with cache
-    acts = [batch.inputs]  # post-activation per layer, starting at the input
-    h = batch.inputs
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = h @ w
-        z += b
-        if not np.isfinite(z).all():
-            raise NonFiniteError(f"backward: non-finite pre-activation in layer {i + 1}")
-        h = np.maximum(z, 0.0, out=z) if i < n_layers - 1 else z
-        acts.append(h)
-
-    preds = acts[-1][:, 0]
-    batch_size = batch.size
-    resid = preds - batch.targets
-    loss = float(np.dot(resid, resid) / batch_size)
-
-    if out is None:
-        out = np.empty(model.n_params)
-    elif out.shape != (model.n_params,):
-        raise DimensionMismatchError(
-            f"backward: out has shape {out.shape}, expected ({model.n_params},)"
-        )
-
-    # reverse pass: d(loss)/d(pred) = 2 r / B, output layer is linear;
-    # each layer's weight and bias blocks are written straight into their
-    # slots of the flat layout
-    d = (2.0 / batch_size) * resid[:, None]
-    end = model.n_params
-    for i in range(n_layers - 1, -1, -1):
-        a_prev = acts[i]
-        d_in, d_out = model.weights[i].shape
-        b_start = end - d_out
-        w_start = b_start - d_in * d_out
-        np.matmul(a_prev.T, d, out=out[w_start:b_start].reshape(d_in, d_out))
-        np.sum(d, axis=0, out=out[b_start:end])
-        if i > 0:
-            w = model.weights[i]
-            # a one-wide layer's input gradient is an outer product; broadcasting
-            # gives matmul's bits without its overhead for an inner dimension of 1
-            d = d * w.T if d_out == 1 else d @ w.T
-            d *= acts[i] > 0.0  # rectifier subgradient via the cached activation
-        end = w_start
-
-    return loss, out
+    return _backward(model, batch, out, 0, "backward")
 
 
 def backward_head(
@@ -216,32 +164,63 @@ def backward_head(
     backward matmuls are skipped.  ``out``, when given, must be a vector of
     that length; the gradient is written into it and returned.
     """
+    return _backward(model, batch, out, len(model.weights) - 1, "backward_head")
+
+
+def _backward(
+    model: MlpModel, batch: Batch, out: np.ndarray | None, first_layer: int, who: str
+) -> tuple[float, np.ndarray]:
+    """Loss and the gradient of layers ``first_layer`` onward (0-based).
+
+    That gradient is the trailing block of the flat layout from the layer's
+    weights on, so every layer's entries are the same products whichever
+    layer the pass stops at.  ``who`` names the caller in error messages.
+    """
     _check_inputs(model, batch.inputs)
     n_layers = len(model.weights)
+
+    # forward with cache
+    acts = [batch.inputs]  # post-activation per layer, starting at the input
     h = batch.inputs
-    last_hidden = h  # input feeds the head directly in a single-layer model
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
         z = h @ w
         z += b
         if not np.isfinite(z).all():
-            raise NonFiniteError(f"backward_head: non-finite pre-activation in layer {i + 1}")
+            raise NonFiniteError(f"{who}: non-finite pre-activation in layer {i + 1}")
         h = np.maximum(z, 0.0, out=z) if i < n_layers - 1 else z
-        if i == n_layers - 2:
-            last_hidden = h
-    preds = h[:, 0]
+        acts.append(h)
+
+    preds = acts[-1][:, 0]
+    batch_size = batch.size
     resid = preds - batch.targets
-    loss = float(np.dot(resid, resid) / batch.size)
-    d = (2.0 / batch.size) * resid[:, None]
-    head = head_block_size(model.dims)
+    loss = float(np.dot(resid, resid) / batch_size)
+
+    n = param_count(model.dims[first_layer:])
     if out is None:
-        out = np.empty(head)
-    elif out.shape != (head,):
-        raise DimensionMismatchError(
-            f"backward_head: out has shape {out.shape}, expected ({head},)"
-        )
-    d_in, d_out = model.dims[-2], model.dims[-1]
-    np.matmul(last_hidden.T, d, out=out[: d_in * d_out].reshape(d_in, d_out))
-    np.sum(d, axis=0, out=out[d_in * d_out :])
+        out = np.empty(n)
+    elif out.shape != (n,):
+        raise DimensionMismatchError(f"{who}: out has shape {out.shape}, expected ({n},)")
+
+    # reverse pass: d(loss)/d(pred) = 2 r / B, output layer is linear;
+    # each layer's weight and bias blocks are written straight into their
+    # slots of the flat layout
+    d = (2.0 / batch_size) * resid[:, None]
+    end = n
+    for i in range(n_layers - 1, first_layer - 1, -1):
+        a_prev = acts[i]
+        d_in, d_out = model.weights[i].shape
+        b_start = end - d_out
+        w_start = b_start - d_in * d_out
+        np.matmul(a_prev.T, d, out=out[w_start:b_start].reshape(d_in, d_out))
+        np.sum(d, axis=0, out=out[b_start:end])
+        if i > first_layer:
+            w = model.weights[i]
+            # a one-wide layer's input gradient is an outer product; broadcasting
+            # gives matmul's bits without its overhead for an inner dimension of 1
+            d = d * w.T if d_out == 1 else d @ w.T
+            d *= acts[i] > 0.0  # rectifier subgradient via the cached activation
+        end = w_start
+
     return loss, out
 
 

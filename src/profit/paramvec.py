@@ -10,21 +10,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonFiniteError
+from .errors import DimensionMismatchError
 
 # Squared-norm threshold below which a displacement carries no usable
 # direction and projection falls back to the identity.
 EPS_DEGENERATE = 1e-24
-
-
-def as_vector(values) -> np.ndarray:
-    """Coerce ``values`` to a finite 1-D float64 array (copying if needed)."""
-    v = np.ascontiguousarray(values, dtype=np.float64)
-    if v.ndim != 1:
-        raise DimensionMismatchError(f"expected a 1-D vector, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise NonFiniteError("vector contains NaN or Inf")
-    return v
 
 
 def check_same_dim(a: np.ndarray, b: np.ndarray, op: str) -> None:

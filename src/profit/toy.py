@@ -14,7 +14,7 @@ stream, stream 2 the new-domain fine-tuning stream.
 
 import time
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -205,29 +205,27 @@ class ExperimentPlan:
 
 def train_baseline(plan: ExperimentPlan, seed: int) -> MlpModel:
     """Train the from-scratch baseline on the original domain for one seed."""
-    model = mlp.init_model(plan.dims, make_rng(seed, STREAM_INIT))
+    theta = flatten(mlp.init_model(plan.dims, make_rng(seed, STREAM_INIT)))
     stream = batch_stream(plan.original, plan.batch_size, make_rng(seed, STREAM_BASELINE))
-    theta = flatten(model)
-    state = optim.init_state(plan.baseline, theta.shape[0])
-    theta, _ = run_plain_training(
-        theta, state, plan.baseline_steps, stream, mlp_gradient_fn(plan.dims)
-    )
+    gradient, state = plain_setup(plan, "baseline")
+    theta, _ = run_plain_training(theta, state, plan.baseline_steps, stream, gradient)
     return unflatten(theta, plan.dims)
 
 
-def plain_finetune_setup(
-    plan: ExperimentPlan, strategy: str, loss_out: list | None = None
-) -> tuple:
-    """Gradient function and fresh main-optimizer state for "full" or "head".
+def plain_setup(plan: ExperimentPlan, strategy: str, loss_out: list | None = None) -> tuple:
+    """Gradient function and fresh optimizer state for "baseline", "full" or "head".
 
     For "head" both cover only the final layer's trailing block, the
-    coordinates ``run_plain_training`` then updates; for "full", every
-    parameter.  ``loss_out`` works as in ``mlp_gradient_fn``.
+    coordinates ``run_plain_training`` then updates; otherwise, every
+    parameter.  The baseline's state follows ``plan.baseline``, the
+    fine-tunes' ``plan.finetune``.  ``loss_out`` works as in
+    ``mlp_gradient_fn``.
     """
     head_only = strategy == "head"
     n = head_block_size(plan.dims) if head_only else mlp.param_count(plan.dims)
     gradient = mlp_gradient_fn(plan.dims, head_only=head_only, loss_out=loss_out)
-    return gradient, optim.init_state(plan.finetune, n)
+    spec = plan.baseline if strategy == "baseline" else plan.finetune
+    return gradient, optim.init_state(spec, n)
 
 
 def finetune_model(
@@ -251,7 +249,7 @@ def finetune_model(
             mlp_gradient_fn(plan.dims),
         )
     else:
-        gradient, state = plain_finetune_setup(plan, strategy)
+        gradient, state = plain_setup(plan, strategy)
         theta, _ = run_plain_training(theta0, state, plan.finetune_steps, stream, gradient)
     return unflatten(theta, plan.dims), traces
 
@@ -266,35 +264,62 @@ class ResultRow:
     wall_time_s: float
 
 
+def csv_text(header: str, rows) -> str:
+    """CSV text: the ``header`` line, then one line per row of values.
+
+    Strings and ints are written as they are, every other value as
+    ``repr(float(v))``, the shortest text that parses back to the same float.
+    """
+    lines = [header]
+    for row in rows:
+        cells = (str(v) if isinstance(v, (str, int, np.integer)) else repr(float(v)) for v in row)
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
 @dataclass
-class ResultsTable:
-    """Per-seed benchmark rows; CSV header strategy,seed,original_error,new_error,steps,wall_time_s."""
+class _CsvTable:
+    """Rows of the dataclass ``ROW``, read and written as CSV under ``CSV_HEADER``.
+
+    The columns are ``ROW``'s fields in order, each parsed with its
+    annotated type.
+    """
 
     rows: list
 
-    CSV_HEADER = "strategy,seed,original_error,new_error,steps,wall_time_s"
-
     def to_csv_text(self) -> str:
-        lines = [self.CSV_HEADER]
-        for r in self.rows:
-            lines.append(
-                f"{r.strategy},{r.seed},{r.original_error!r},{r.new_error!r},"
-                f"{r.steps},{r.wall_time_s!r}"
-            )
-        return "\n".join(lines) + "\n"
+        return csv_text(self.CSV_HEADER, map(astuple, self.rows))
 
     @classmethod
-    def from_csv_text(cls, text: str) -> "ResultsTable":
-        lines = [ln for ln in text.strip().splitlines() if ln]
+    def from_csv_text(cls, text: str):
+        lines = text.strip().splitlines()
         if not lines or lines[0] != cls.CSV_HEADER:
-            raise ValueError("not a results CSV: bad header")
+            raise ValueError(f"not a {cls.__name__} CSV: bad header")
+        types = [f.type for f in fields(cls.ROW)]
         rows = []
-        for ln in lines[1:]:
-            strategy, seed, orig, new, steps, wall = ln.split(",")
-            rows.append(
-                ResultRow(strategy, int(seed), float(orig), float(new), int(steps), float(wall))
-            )
+        for lineno, line in enumerate(lines[1:], start=2):
+            if not line:
+                continue
+            try:  # a wrong cell count fails the strict zip
+                rows.append(cls.ROW(*(t(c) for t, c in zip(types, line.split(","), strict=True))))
+            except ValueError as exc:
+                raise ValueError(f"{cls.__name__} CSV line {lineno} {line!r}: {exc}") from None
         return cls(rows)
+
+
+def _stats(vals) -> tuple[float, float]:
+    """Mean and standard error of the values; the error of a single value is 0."""
+    vals = np.array(vals)
+    stderr = float(np.std(vals, ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
+    return float(np.mean(vals)), stderr
+
+
+@dataclass
+class ResultsTable(_CsvTable):
+    """Per-seed benchmark rows; CSV header strategy,seed,original_error,new_error,steps,wall_time_s."""
+
+    ROW = ResultRow
+    CSV_HEADER = "strategy,seed,original_error,new_error,steps,wall_time_s"
 
     def strategy_rows(self, strategy: str) -> list:
         return [r for r in self.rows if r.strategy == strategy]
@@ -305,16 +330,20 @@ class ResultsTable:
         for strategy in dict.fromkeys(r.strategy for r in self.rows):
             rows = self.strategy_rows(strategy)
             out[strategy] = {}
-            for name, vals in (
-                ("original", np.array([r.original_error for r in rows])),
-                ("new", np.array([r.new_error for r in rows])),
-            ):
-                stderr = float(np.std(vals, ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
-                out[strategy][f"{name}_mean"] = float(np.mean(vals))
+            for name in ("original", "new"):
+                vals = [getattr(r, f"{name}_error") for r in rows]
+                mean, stderr = _stats(vals)
+                out[strategy][f"{name}_mean"] = mean
                 out[strategy][f"{name}_stderr"] = stderr
                 out[strategy][f"{name}_best"] = float(np.min(vals))
             out[strategy]["n_seeds"] = len(rows)
         return out
+
+
+def _result_row(plan: ExperimentPlan, strategy, seed, model, steps, wall) -> ResultRow:
+    """A table row with the model's grid errors on both domains."""
+    original, new = evaluate_error(model, plan.original), evaluate_error(model, plan.new)
+    return ResultRow(strategy, seed, original, new, steps, wall)
 
 
 def run_experiment(plan: ExperimentPlan, baselines: dict | None = None) -> ResultsTable:
@@ -331,30 +360,12 @@ def run_experiment(plan: ExperimentPlan, baselines: dict | None = None) -> Resul
             t0 = time.perf_counter()
             base = train_baseline(plan, seed)
             base_wall = time.perf_counter() - t0
-        rows.append(
-            ResultRow(
-                "baseline",
-                seed,
-                evaluate_error(base, plan.original),
-                evaluate_error(base, plan.new),
-                plan.baseline_steps,
-                base_wall,
-            )
-        )
+        rows.append(_result_row(plan, "baseline", seed, base, plan.baseline_steps, base_wall))
         for strategy in plan.strategies:
             t0 = time.perf_counter()
             tuned, _ = finetune_model(plan, base, strategy, seed)
             wall = time.perf_counter() - t0
-            rows.append(
-                ResultRow(
-                    strategy,
-                    seed,
-                    evaluate_error(tuned, plan.original),
-                    evaluate_error(tuned, plan.new),
-                    plan.finetune_steps,
-                    wall,
-                )
-            )
+            rows.append(_result_row(plan, strategy, seed, tuned, plan.finetune_steps, wall))
     return ResultsTable(rows)
 
 
@@ -378,47 +389,14 @@ class SweepRow:
 
 
 @dataclass
-class SweepTable:
+class SweepTable(_CsvTable):
     """One aggregated PROFIT row per swept value."""
 
-    rows: list
-
+    ROW = SweepRow
     CSV_HEADER = (
         "axis,value,original_error,original_stderr,new_error,new_stderr,"
         "n_seeds,steps,batches_per_step"
     )
-
-    def to_csv_text(self) -> str:
-        lines = [self.CSV_HEADER]
-        for r in self.rows:
-            lines.append(
-                f"{r.axis},{r.value!r},{r.original_error!r},{r.original_stderr!r},"
-                f"{r.new_error!r},{r.new_stderr!r},{r.n_seeds},{r.steps},{r.batches_per_step}"
-            )
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_csv_text(cls, text: str) -> "SweepTable":
-        lines = [ln for ln in text.strip().splitlines() if ln]
-        if not lines or lines[0] != cls.CSV_HEADER:
-            raise ValueError("not a sweep CSV: bad header")
-        rows = []
-        for ln in lines[1:]:
-            axis, value, orig, orig_se, new, new_se, n_seeds, steps, bps = ln.split(",")
-            rows.append(
-                SweepRow(
-                    axis,
-                    float(value),
-                    float(orig),
-                    float(orig_se),
-                    float(new),
-                    float(new_se),
-                    int(n_seeds),
-                    int(steps),
-                    int(bps),
-                )
-            )
-        return cls(rows)
 
 
 def _plan_with(plan: ExperimentPlan, axis: str, value) -> ExperimentPlan:
@@ -466,34 +444,30 @@ def run_ablation_sweep(
             baselines[seed] = train_baseline(plan, seed)
 
     cells = [(value, seed) for value in values for seed in plan.seeds]
+    args = [(plan, axis, value, seed, baselines[seed]) for value, seed in cells]
     if max_workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            futures = [
-                pool.submit(sweep_cell, plan, axis, value, seed, baselines[seed])
-                for value, seed in cells
-            ]
-            outcomes = [f.result() for f in futures]
+            outcomes = list(pool.map(sweep_cell, *zip(*args)))
     else:
-        outcomes = [sweep_cell(plan, axis, value, seed, baselines[seed]) for value, seed in cells]
+        outcomes = [sweep_cell(*a) for a in args]
 
     results = dict(zip(cells, outcomes))
     rows = []
     for value in values:
-        orig = np.array([results[(value, s)]["original_error"] for s in plan.seeds])
-        new = np.array([results[(value, s)]["new_error"] for s in plan.seeds])
+        orig, orig_se = _stats([results[(value, s)]["original_error"] for s in plan.seeds])
+        new, new_se = _stats([results[(value, s)]["new_error"] for s in plan.seeds])
         bps = {results[(value, s)]["batches_per_step"] for s in plan.seeds}
-        k = len(plan.seeds)
         rows.append(
             SweepRow(
                 axis=axis,
                 value=float(value),
-                original_error=float(np.mean(orig)),
-                original_stderr=float(np.std(orig, ddof=1) / np.sqrt(k)) if k > 1 else 0.0,
-                new_error=float(np.mean(new)),
-                new_stderr=float(np.std(new, ddof=1) / np.sqrt(k)) if k > 1 else 0.0,
-                n_seeds=k,
+                original_error=orig,
+                original_stderr=orig_se,
+                new_error=new,
+                new_stderr=new_se,
+                n_seeds=len(plan.seeds),
                 steps=plan.finetune_steps,
                 batches_per_step=bps.pop(),
             )

@@ -1,5 +1,10 @@
 """End-to-end command-line tests on a miniature configuration."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -413,3 +418,24 @@ def test_non_finite_rates_exit_two_and_leave_no_output(argv, section, trained, t
     last = capsys.readouterr().err.splitlines()[-1]
     assert last.startswith("error: ") and "non-finite" in last
     assert not out.exists() or list(out.iterdir()) == []  # no .pfit, CSV or .tmp file
+
+
+@pytest.mark.parametrize("argv", [("train-baseline",), ("finetune", "--strategy", "head")])
+def test_numpy_warnings_stay_out_of_stderr(argv, trained, tmp_path):
+    """Run as its own process, with numpy's default error handling: stderr
+    holds the one ``error:`` line and no warning naming a source line."""
+    section = "baseline" if argv[0] == "train-baseline" else "finetune"
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(config_text({f"{section}.optimizer": "sgd", f"{section}.lr": "1e308"}))
+    if argv[0] == "finetune":
+        argv += ("--checkpoint", str(trained))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "profit.cli", *argv, "--config", str(cfg),
+         "--out-dir", str(tmp_path / "failed")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("error: ") and "non-finite" in lines[0]

@@ -17,7 +17,6 @@ from profit.mlp import (
     loss_mse,
     param_count,
     unflatten,
-    zeros_model,
 )
 
 HAND_DIMS = (2, 2, 2, 1)
@@ -70,7 +69,7 @@ def test_batch_validation():
 
 
 def test_forward_zero_model_predicts_zero():
-    model = zeros_model((2, 4, 3, 1))
+    model = unflatten(np.zeros(param_count((2, 4, 3, 1))), (2, 4, 3, 1))
     out = forward(model, np.array([[0.3, -0.7], [2.0, 2.0]]))
     assert np.array_equal(out, [0.0, 0.0])
 
@@ -129,7 +128,7 @@ def test_loss_mse_empty_batch_is_an_error():
 
 def test_backward_zero_gradient_at_exact_fit():
     """With weights that reproduce the targets exactly, the gradient vanishes."""
-    model = zeros_model((2, 3, 1))
+    model = unflatten(np.zeros(param_count((2, 3, 1))), (2, 3, 1))
     batch = Batch(np.array([[0.5, -1.0], [2.0, 0.25]]), np.zeros(2))
     loss, g = backward(model, batch)
     assert loss == 0.0
@@ -295,12 +294,6 @@ def test_vector_roundtrip_through_model_is_identity():
     rng = np.random.default_rng(6)
     v = rng.standard_normal(param_count((2, 3, 3, 1)))
     assert np.array_equal(flatten(unflatten(v, (2, 3, 3, 1))), v)
-
-
-def test_flatten_zero_model_standard_dims():
-    v = flatten(zeros_model(LAYER_DIMS))
-    assert v.shape == (252_501,)
-    assert not v.any()
 
 
 def test_single_weight_perturbation_moves_single_coordinate():

@@ -2,13 +2,14 @@
 
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
 
 from profit import toy
 from profit.errors import NonFiniteError
-from profit.mlp import flatten, zeros_model
+from profit.mlp import LAYER_DIMS, flatten, param_count, unflatten
 from profit.toy import (
     NEW_DOMAIN,
     ORIGINAL_DOMAIN,
@@ -155,7 +156,7 @@ def test_evaluation_grid_shape_and_corners():
 
 def test_zero_model_grid_errors_match_frozen_values():
     """MSE of the all-zero network is the grid mean of sin^2(10r)."""
-    model = zeros_model()
+    model = unflatten(np.zeros(param_count(LAYER_DIMS)))
     assert evaluate_error(model, ORIGINAL_DOMAIN) == pytest.approx(
         0.48814119117337257, abs=1e-15
     )
@@ -262,6 +263,32 @@ def test_results_table_csv_roundtrip_is_exact():
 def test_results_table_rejects_foreign_header():
     with pytest.raises(ValueError, match="bad header"):
         ResultsTable.from_csv_text("a,b,c\n1,2,3\n")
+
+
+@pytest.mark.parametrize("table", [ResultsTable, SweepTable])
+def test_table_header_lists_the_row_fields_in_order(table):
+    assert table.CSV_HEADER == ",".join(f.name for f in dataclasses.fields(table.ROW))
+
+
+GOOD_ROWS = {ResultsTable: "full,0,0.9,0.1,200,0.5", SweepTable: "n_ref,1.0,0.5,0.01,0.6,0.02,3,200,2"}
+MALFORMED_ROWS = [
+    (ResultsTable, "full,0,0.9,0.1,200"),  # too few cells
+    (ResultsTable, "full,0,0.9,0.1,200,0.5,7"),  # too many cells
+    (ResultsTable, "full,0,abc,0.1,200,0.5"),  # non-numeric float
+    (ResultsTable, "full,zero,0.9,0.1,200,0.5"),  # non-numeric int
+    (ResultsTable, ","),  # two empty cells
+    (SweepTable, "n_ref,1.0,0.5,0.01,0.6,0.02,3,200"),
+    (SweepTable, "n_ref,1.0,0.5,0.01,0.6,0.02,3,200,2,9"),
+    (SweepTable, "n_ref,one,0.5,0.01,0.6,0.02,3,200,2"),
+    (SweepTable, "n_ref,1.0,0.5,0.01,0.6,0.02,3,200,2.5"),
+]
+
+
+@pytest.mark.parametrize("table, bad", MALFORMED_ROWS)
+def test_malformed_table_rows_raise_value_error_naming_the_line(table, bad):
+    text = f"{table.CSV_HEADER}\n{GOOD_ROWS[table]}\n{bad}\n{GOOD_ROWS[table]}\n"
+    with pytest.raises(ValueError, match=f"line 3 {re.escape(repr(bad))}"):
+        table.from_csv_text(text)
 
 
 def test_results_table_summary_matches_hand_numpy():
