@@ -38,16 +38,6 @@ def rng_state_of(rng: np.random.Generator) -> dict:
     return _jsonify(rng.bit_generator.state)
 
 
-def restore_rng(state: dict) -> np.random.Generator:
-    name = state.get("bit_generator")
-    cls = getattr(np.random, name, None)
-    if cls is None or not isinstance(cls, type) or not issubclass(cls, np.random.BitGenerator):
-        raise CheckpointError(f"unknown bit generator {name!r} in checkpoint")
-    bg = cls()
-    bg.state = state
-    return np.random.Generator(bg)
-
-
 def _jsonify(value):
     if isinstance(value, dict):
         return {k: _jsonify(v) for k, v in value.items()}

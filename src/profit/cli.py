@@ -35,22 +35,18 @@ import numpy as np
 
 from . import toy
 from .checkpoint import Checkpoint, load_checkpoint, rng_state_of, save_checkpoint, write_atomic
+# the loops run inside toy.train; perfbench/tracing.py still patches them under these names
 from .core import ProfitStepTrace, run_plain_training, run_profit_training
 from .errors import ConfigError
 from .mlp import flatten, forward, init_model, loss_mse, unflatten
 from .runconfig import RunConfig, config_from_text, load_config
 from .toy import (
     STRATEGIES,
-    STREAM_BASELINE,
-    STREAM_FINETUNE,
     STREAM_INIT,
-    batch_stream,
     csv_text,
     evaluate_error,
     evaluation_grid,
     make_rng,
-    mlp_gradient_fn,
-    plain_setup,
     run_ablation_sweep,
     target_function,
 )
@@ -97,36 +93,22 @@ def _train_and_save(
 ) -> int:
     """Train ``theta0``, write the checkpoint, metrics and trace, and print the report.
 
-    ``strategy`` is "baseline" (trained on the original domain) or one of
-    ``STRATEGIES`` (fine-tuned on the new domain); it prefixes every file
-    name.  ``start_count`` is the step count of the starting weights.
+    ``strategy`` is as in ``toy.train`` and prefixes every file name.
+    ``start_count`` is the step count of the starting weights.
     """
     plan = cfg.plan
     baseline = strategy == "baseline"
     steps = plan.baseline_steps if baseline else plan.finetune_steps
     domains = ("original",) if baseline else ("original", "new")
-    stream_rng = make_rng(seed, STREAM_BASELINE if baseline else STREAM_FINETUNE)
-    stream = batch_stream(plan.original if baseline else plan.new, plan.batch_size, stream_rng)
     loss_cell = [math.nan]
 
     def hook(step, th):
         return {"train_loss": loss_cell[0], **_grid_errors(th, plan, domains)}
 
-    hooks = {"eval_hooks": (hook,), "eval_every": cfg.values["eval_every"]}
-    traces: list = []
-    metrics: list = []
-    final_step = steps
-    if strategy == "profit":
-        gradient = mlp_gradient_fn(plan.dims, loss_out=loss_cell)
-        theta, traces, metrics = run_profit_training(
-            theta0, plan.profit_config(), steps, stream, gradient, **hooks
-        )
-        final_step += plan.warmup_steps
-    else:
-        gradient, state = plain_setup(plan, strategy, loss_out=loss_cell)
-        theta, _ = run_plain_training(
-            theta0, state, steps, stream, gradient, metrics=metrics, **hooks
-        )
+    theta, traces, metrics, stream_rng = toy.train(
+        plan, seed, strategy, theta0, (hook,), cfg.values["eval_every"], loss_cell
+    )
+    final_step = steps + (plan.warmup_steps if strategy == "profit" else 0)
 
     ckpt = Checkpoint(plan.dims, theta, rng_state_of(stream_rng), start_count + steps, cfg.digest())
     ckpt_path = out / f"{strategy}_seed{seed}.pfit"

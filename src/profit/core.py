@@ -91,9 +91,9 @@ def _next_batch(batch_source: Iterator, needed: int):
     try:
         return next(batch_source)
     except StopIteration:
-        raise BatchStreamExhaustedError(
-            f"batch stream exhausted: a PROFIT step requires n_ref + 1 = {needed} batches"
-        ) from None
+        plain = "a plain training step requires 1 batch"  # PROFIT steps need n_ref + 1 >= 2
+        step = plain if needed == 1 else f"a PROFIT step requires n_ref + 1 = {needed} batches"
+        raise BatchStreamExhaustedError(f"batch stream exhausted: {step}") from None
 
 
 def profit_workspace(n: int) -> np.ndarray:
@@ -170,7 +170,6 @@ def run_plain_training(
     eval_hooks=(),
     eval_every: int = 0,
     metrics: list | None = None,
-    step_offset: int = 0,
 ) -> tuple[np.ndarray, OptimizerState]:
     """Ordinary single-optimizer loop, one batch per step.
 
@@ -195,20 +194,20 @@ def run_plain_training(
     def update():
         optim.step(state, trained, gradient_fn(theta, _next_batch(batch_source, 1)))
 
-    _train_loop(theta, update, n_steps, eval_hooks, eval_every, metrics, step_offset)
+    _train_loop(theta, update, n_steps, eval_hooks, eval_every, metrics, 0)
     return theta, state
 
 
-def _train_loop(theta, update, n_steps, eval_hooks, eval_every, metrics, step_offset) -> None:
+def _train_loop(theta, update, n_steps, eval_hooks, eval_every, metrics, start) -> None:
     """Call ``update()``, an in-place update of ``theta``, ``n_steps`` times.
 
     Every ``eval_every`` calls (0: never) the hooks' entry on ``theta``,
-    numbered from ``step_offset``, is appended to ``metrics``.
+    numbered from ``start``, is appended to ``metrics``.
     """
     for i in range(n_steps):
         update()
         if eval_every and (i + 1) % eval_every == 0 and metrics is not None:
-            entry = {"step": step_offset + i + 1}
+            entry = {"step": start + i + 1}
             for hook in eval_hooks:
                 entry.update(hook(entry["step"], theta))
             metrics.append(entry)
@@ -228,12 +227,12 @@ def run_profit_training(
     ``n_steps`` counts main-optimizer updates; the extra reference batches
     are bookkept in the returned traces.  ``eval_hooks`` are callables
     ``(step, theta) -> dict`` merged into a metrics entry every
-    ``eval_every`` main updates (0 disables), counted from the start of
-    warmup; the weights a hook sees are updated in place afterwards, so a
-    hook that keeps them must copy them.  ``theta0`` itself is never
-    written.  The starting weights are assumed to come from a converged
-    model; that precondition cannot be checked here and violating it gives
-    poor results.
+    ``eval_every`` main updates (0 disables), counted anew from the first
+    PROFIT step (3 warmup steps, every 2: steps 2, 5, 7, 9, ...); the weights
+    a hook sees are updated in place afterwards, so a hook that keeps them
+    must copy them.  ``theta0`` itself is never written.  The starting
+    weights are assumed to come from a converged model; that precondition
+    cannot be checked here and violating it gives poor results.
 
     Returns ``(theta_final, traces, metrics)``.
     """

@@ -42,16 +42,12 @@ class ToyDataConfig:
     """Sampling domain for one data split.
 
     Input coordinates are drawn independently from U[domain_low, domain_high]
-    per axis; targets get N(0, noise_std^2) noise added.  ``n_points`` caps
-    the total points a stream yields (None streams forever, fresh points
-    every batch).
+    per axis; targets get N(0, noise_std^2) noise added.
     """
 
     domain_low: float
     domain_high: float
     noise_std: float = 1.0
-    seed: int = 0
-    n_points: int | None = None
 
     def __post_init__(self):
         if not (self.domain_low < self.domain_high):
@@ -60,8 +56,6 @@ class ToyDataConfig:
             )
         if not (np.isfinite(self.noise_std) and self.noise_std >= 0):
             raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
-        if self.n_points is not None and self.n_points < 1:
-            raise ValueError(f"n_points must be >= 1, got {self.n_points}")
 
 
 ORIGINAL_DOMAIN = ToyDataConfig(-1.0, 1.0)
@@ -97,30 +91,23 @@ def sample_batch(config: ToyDataConfig, rng: np.random.Generator, batch_size: in
 
 
 def batch_stream(
-    config: ToyDataConfig, batch_size: int, rng: np.random.Generator | None = None
+    config: ToyDataConfig, batch_size: int, rng: np.random.Generator
 ) -> Iterator[Batch]:
-    """Endless (or ``n_points``-capped) stream of freshly sampled batches."""
-    if rng is None:
-        rng = make_rng(config.seed)
-    remaining = config.n_points
+    """Endless stream of freshly sampled batches, advancing ``rng``."""
     while True:
-        if remaining is not None:
-            if remaining < batch_size:
-                return
-            remaining -= batch_size
         yield sample_batch(config, rng, batch_size)
 
 
-def evaluation_grid(config: ToyDataConfig, grid_size: int = GRID_SIZE) -> np.ndarray:
-    """Deterministic grid_size x grid_size lattice covering the domain, as (N, 2)."""
-    axis = np.linspace(config.domain_low, config.domain_high, grid_size)
+def evaluation_grid(config: ToyDataConfig) -> np.ndarray:
+    """Deterministic GRID_SIZE x GRID_SIZE lattice covering the domain, as (N, 2)."""
+    axis = np.linspace(config.domain_low, config.domain_high, GRID_SIZE)
     x1, x2 = np.meshgrid(axis, axis, indexing="ij")
     return np.column_stack([x1.ravel(), x2.ravel()])
 
 
-def evaluate_error(model: MlpModel, config: ToyDataConfig, grid_size: int = GRID_SIZE) -> float:
+def evaluate_error(model: MlpModel, config: ToyDataConfig) -> float:
     """MSE of the model against the noise-free target over the fixed grid."""
-    pts = evaluation_grid(config, grid_size)
+    pts = evaluation_grid(config)
     preds = forward(model, pts)
     return mlp.loss_mse(preds, target_function(pts))
 
@@ -203,29 +190,44 @@ class ExperimentPlan:
         )
 
 
-def train_baseline(plan: ExperimentPlan, seed: int) -> MlpModel:
-    """Train the from-scratch baseline on the original domain for one seed."""
-    theta = flatten(mlp.init_model(plan.dims, make_rng(seed, STREAM_INIT)))
-    stream = batch_stream(plan.original, plan.batch_size, make_rng(seed, STREAM_BASELINE))
-    gradient, state = plain_setup(plan, "baseline")
-    theta, _ = run_plain_training(theta, state, plan.baseline_steps, stream, gradient)
-    return unflatten(theta, plan.dims)
+def train(plan, seed: int, strategy: str, theta0, eval_hooks=(), eval_every=0, loss_out=None):
+    """Train the flat weights ``theta0`` (never written) with ``strategy`` for one seed.
 
-
-def plain_setup(plan: ExperimentPlan, strategy: str, loss_out: list | None = None) -> tuple:
-    """Gradient function and fresh optimizer state for "baseline", "full" or "head".
-
-    For "head" both cover only the final layer's trailing block, the
-    coordinates ``run_plain_training`` then updates; otherwise, every
-    parameter.  The baseline's state follows ``plan.baseline``, the
-    fine-tunes' ``plan.finetune``.  ``loss_out`` works as in
-    ``mlp_gradient_fn``.
+    "baseline" steps ``plan.baseline`` on the original domain for
+    ``baseline_steps``; "full", "head" (the final layer's block alone) and
+    "profit" (``plan.profit_config()``) take ``finetune_steps`` main updates
+    on the new domain.  Hooks work as in ``core.run_profit_training``,
+    ``loss_out`` as in ``mlp_gradient_fn``.  Returns ``(theta, traces,
+    metrics, stream_rng)``: traces are empty unless PROFIT ran, and the
+    batch stream's generator is advanced past every batch drawn.
     """
+    if strategy != "baseline" and strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}, expected baseline or one of {STRATEGIES}")
+    baseline = strategy == "baseline"
+    stream_rng = make_rng(seed, STREAM_BASELINE if baseline else STREAM_FINETUNE)
+    stream = batch_stream(plan.original if baseline else plan.new, plan.batch_size, stream_rng)
+    steps = plan.baseline_steps if baseline else plan.finetune_steps
+    hooks = (eval_hooks, eval_every)
+    if strategy == "profit":
+        gradient = mlp_gradient_fn(plan.dims, loss_out=loss_out)
+        theta, traces, metrics = run_profit_training(
+            theta0, plan.profit_config(), steps, stream, gradient, *hooks
+        )
+        return theta, traces, metrics, stream_rng
     head_only = strategy == "head"
     n = head_block_size(plan.dims) if head_only else mlp.param_count(plan.dims)
+    state = optim.init_state(plan.baseline if baseline else plan.finetune, n)
     gradient = mlp_gradient_fn(plan.dims, head_only=head_only, loss_out=loss_out)
-    spec = plan.baseline if strategy == "baseline" else plan.finetune
-    return gradient, optim.init_state(spec, n)
+    metrics: list = []
+    theta, _ = run_plain_training(theta0, state, steps, stream, gradient, *hooks, metrics)
+    return theta, [], metrics, stream_rng
+
+
+def train_baseline(plan: ExperimentPlan, seed: int) -> MlpModel:
+    """Train the from-scratch baseline on the original domain for one seed."""
+    theta0 = flatten(mlp.init_model(plan.dims, make_rng(seed, STREAM_INIT)))
+    theta, *_ = train(plan, seed, "baseline", theta0)
+    return unflatten(theta, plan.dims)
 
 
 def finetune_model(
@@ -237,20 +239,7 @@ def finetune_model(
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
-    stream = batch_stream(plan.new, plan.batch_size, make_rng(seed, STREAM_FINETUNE))
-    theta0 = flatten(baseline_model)
-    traces: list = []
-    if strategy == "profit":
-        theta, traces, _ = run_profit_training(
-            theta0,
-            plan.profit_config(),
-            plan.finetune_steps,
-            stream,
-            mlp_gradient_fn(plan.dims),
-        )
-    else:
-        gradient, state = plain_setup(plan, strategy)
-        theta, _ = run_plain_training(theta0, state, plan.finetune_steps, stream, gradient)
+    theta, traces, *_ = train(plan, seed, strategy, flatten(baseline_model))
     return unflatten(theta, plan.dims), traces
 
 

@@ -9,7 +9,6 @@ from profit.checkpoint import (
     MAGIC,
     Checkpoint,
     load_checkpoint,
-    restore_rng,
     rng_state_of,
     save_checkpoint,
     write_atomic,
@@ -86,9 +85,20 @@ def test_restored_generator_continues_the_same_stream(tmp_path):
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, ckpt)
     future_from_live = rng.standard_normal(10)
-    revived = restore_rng(load_checkpoint(path).rng_state)
+    bit_generator = np.random.Philox()
+    bit_generator.state = load_checkpoint(path).rng_state
+    revived = np.random.Generator(bit_generator)
     assert np.array_equal(revived.standard_normal(10), future_from_live)
     assert not np.array_equal(future_from_live, consumed)
+
+
+def test_saved_generator_state_loads_back_unchanged(tmp_path):
+    rng = make_rng(0, 2)
+    rng.standard_normal(10)
+    ckpt = Checkpoint(DIMS, np.zeros(param_count(DIMS)), rng_state_of(rng), 0, "")
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, ckpt)
+    assert load_checkpoint(path).rng_state == rng_state_of(rng)
 
 
 def test_constructor_validates_shapes_and_steps():
@@ -164,11 +174,6 @@ def test_parameter_count_mismatch_is_rejected(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(CheckpointError, match="parameter count 7"):
         load_checkpoint(path)
-
-
-def test_restore_rng_rejects_unknown_generator():
-    with pytest.raises(CheckpointError, match="unknown bit generator"):
-        restore_rng({"bit_generator": "DiceRoll"})
 
 
 def test_rng_state_is_json_safe():

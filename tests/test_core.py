@@ -269,6 +269,12 @@ def test_exhausted_stream_is_a_hard_error():
         )
 
 
+def test_exhausted_stream_in_plain_training_names_a_plain_step():
+    state = optim.init_state(optim.sgd(0.1), 2)
+    with pytest.raises(BatchStreamExhaustedError, match="a plain training step requires 1 batch"):
+        run_plain_training(np.zeros(2), state, 2, iter([0]), constant_gradient(np.ones(2)))
+
+
 # --------------------------------------------------------- state handling
 
 
@@ -385,7 +391,16 @@ def test_state_longer_than_theta_is_rejected_before_any_batch():
     assert next(batches) == 0  # the stream was not touched
 
 
-def test_metrics_cadence_spans_warmup_and_outer_steps():
+@pytest.mark.parametrize(
+    "warmup, n_steps, eval_every, expected",
+    [
+        (2, 3, 1, [1, 2, 3, 4, 5]),
+        # the count restarts at the first PROFIT step
+        (3, 7, 2, [2, 5, 7, 9]),
+    ],
+    ids=["warmup2-every1", "warmup3-every2"],
+)
+def test_metrics_cadence_spans_warmup_and_outer_steps(warmup, n_steps, eval_every, expected):
     seen = []
 
     def hook(step, theta):
@@ -393,14 +408,14 @@ def test_metrics_cadence_spans_warmup_and_outer_steps():
         return {"n": float(norm(theta))}
 
     config = ProfitConfig(
-        n_ref=1, main=optim.sgd(0.01), reference=optim.sgd(0.01), warmup_steps=2,
+        n_ref=1, main=optim.sgd(0.01), reference=optim.sgd(0.01), warmup_steps=warmup,
     )
     _, _, metrics = run_profit_training(
-        np.ones(3), config, 3, endless(),
-        bowl_gradient(np.zeros(3)), eval_hooks=(hook,), eval_every=1,
+        np.ones(3), config, n_steps, endless(),
+        bowl_gradient(np.zeros(3)), eval_hooks=(hook,), eval_every=eval_every,
     )
-    assert seen == [1, 2, 3, 4, 5]
-    assert [m["step"] for m in metrics] == [1, 2, 3, 4, 5]
+    assert seen == expected
+    assert [m["step"] for m in metrics] == expected
     assert all("n" in m for m in metrics)
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from profit import toy
+from profit.checkpoint import rng_state_of
 from profit.errors import NonFiniteError
 from profit.mlp import LAYER_DIMS, flatten, param_count, unflatten
 from profit.toy import (
@@ -79,8 +80,6 @@ def test_data_config_validation():
         ToyDataConfig(1.0, 1.0)
     with pytest.raises(ValueError, match="noise_std"):
         ToyDataConfig(0.0, 1.0, noise_std=-0.1)
-    with pytest.raises(ValueError, match="n_points"):
-        ToyDataConfig(0.0, 1.0, n_points=0)
 
 
 def test_sample_batch_statistics():
@@ -115,25 +114,11 @@ def test_sample_batch_rejects_empty():
         sample_batch(ORIGINAL_DOMAIN, make_rng(0), 0)
 
 
-def test_batch_stream_point_budget_cap():
-    config = ToyDataConfig(-1.0, 1.0, n_points=5)
-    batches = list(batch_stream(config, 2))
-    assert len(batches) == 2  # 4 points used, 1 left over is not enough
-
-
 def test_batch_stream_endless_and_fresh():
     stream = batch_stream(ORIGINAL_DOMAIN, 8, make_rng(1))
     a, b, c = itertools.islice(stream, 3)
     assert not np.array_equal(a.inputs, b.inputs)
     assert not np.array_equal(b.inputs, c.inputs)
-
-
-def test_batch_stream_default_rng_keys_on_config_seed():
-    config = ToyDataConfig(-1.0, 1.0, seed=7)
-    a = next(batch_stream(config, 4))
-    b = next(batch_stream(config, 4, make_rng(7)))
-    assert np.array_equal(a.inputs, b.inputs)
-    assert np.array_equal(a.targets, b.targets)
 
 
 def test_make_rng_deterministic_with_separated_streams():
@@ -239,6 +224,18 @@ def test_zero_finetune_steps_returns_baseline_errors(tiny_plan, tiny_baselines):
 def test_unknown_strategy_rejected(tiny_plan, tiny_baselines):
     with pytest.raises(ValueError, match="unknown strategy"):
         finetune_model(tiny_plan, tiny_baselines[0], "adapter", 0)
+    with pytest.raises(ValueError, match="unknown strategy"):
+        toy.train(tiny_plan, 0, "adapter", flatten(tiny_baselines[0]))
+
+
+def test_train_returns_the_stream_generator_past_every_batch(tiny_plan, tiny_baselines):
+    plan = dataclasses.replace(tiny_plan, finetune_steps=5)
+    _, traces, _, stream_rng = toy.train(plan, 1, "full", flatten(tiny_baselines[1]))
+    expected = make_rng(1, toy.STREAM_FINETUNE)
+    for _ in range(plan.finetune_steps):
+        sample_batch(plan.new, expected, plan.batch_size)
+    assert traces == []
+    assert rng_state_of(stream_rng) == rng_state_of(expected)
 
 
 # ----------------------------------------------------------------- tables
