@@ -12,8 +12,7 @@ Subcommands and their outputs (all under --out-dir):
     evaluate        --checkpoint P [--config C] [--domain original|new] [--out-dir D]
         prints the grid error, writes grid_{domain}.csv (x1,x2,prediction,target)
     sweep           --config C --axis n_ref|lr_ratio [--out-dir D]
-        sweep_{axis}.csv; PROFIT_THREADS caps worker processes (default 1,
-        at most the CPU count)
+        sweep_{axis}.csv; every (value, seed) cell runs in this process
 
 ``train_loss`` is the loss on the most recently consumed training batch at
 the eval step.  ``train-baseline`` and ``finetune`` print the errors of the
@@ -21,13 +20,12 @@ last metrics row when it was taken at the final step (``baseline.steps``, or
 ``finetune.steps``, plus ``profit.warmup_steps`` for PROFIT): that hook saw
 the weights that are saved.  Only otherwise, with no such row, are the grids
 forwarded again.  Exit codes: 0 success, 1 usage or config error, 2 runtime,
-checkpoint, or numeric error.  File writes go to a uniquely named temporary
-file that is then renamed over the target.
+checkpoint, numeric or out-of-memory error.  File writes go to a uniquely
+named temporary file that is then renamed over the target.
 """
 
 import argparse
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -180,28 +178,9 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _worker_cap() -> int:
-    """Sweep worker processes from ``PROFIT_THREADS``, at most ``os.cpu_count()``."""
-    raw = os.environ.get("PROFIT_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ConfigError(f"PROFIT_THREADS must be a positive integer, got {raw!r}")
-    cpus = os.cpu_count()
-    if cpus is not None and cap > cpus:
-        print(
-            f"warning: PROFIT_THREADS={cap} exceeds the {cpus} CPUs; using {cpus} workers",
-            file=sys.stderr,
-        )
-        return cpus
-    return cap
-
-
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    table = run_ablation_sweep(cfg.plan, args.axis, max_workers=_worker_cap())
+    table = run_ablation_sweep(cfg.plan, args.axis)
     out = _out_dir(args, cfg)
     path = out / f"sweep_{args.axis}.csv"
     write_atomic(path, table.to_csv_text().encode())
@@ -258,7 +237,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, RuntimeError, ArithmeticError, OSError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

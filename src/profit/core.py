@@ -180,7 +180,9 @@ def run_plain_training(
     coordinates before them are never written.  Full training is the case
     ``state.n == len(theta)``; head-only training passes a head-sized state.
     Also serves as the warmup phase of PROFIT training, so a warmup-only run
-    is bit-identical to plain fine-tuning on the same stream.
+    is bit-identical to plain fine-tuning on the same stream.  Hooks run as
+    in ``run_profit_training``; their entries are appended to ``metrics``
+    when it is given.
     """
     n = len(theta)
     if state.n > n:
@@ -190,6 +192,8 @@ def run_plain_training(
         )
     theta = np.array(theta, dtype=np.float64)
     trained = theta[n - state.n :]
+    if metrics is None:
+        metrics = []
 
     def update():
         optim.step(state, trained, gradient_fn(theta, _next_batch(batch_source, 1)))
@@ -206,7 +210,7 @@ def _train_loop(theta, update, n_steps, eval_hooks, eval_every, metrics, start) 
     """
     for i in range(n_steps):
         update()
-        if eval_every and (i + 1) % eval_every == 0 and metrics is not None:
+        if eval_every and (i + 1) % eval_every == 0:
             entry = {"step": start + i + 1}
             for hook in eval_hooks:
                 entry.update(hook(entry["step"], theta))

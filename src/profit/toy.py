@@ -50,6 +50,10 @@ class ToyDataConfig:
     noise_std: float = 1.0
 
     def __post_init__(self):
+        if not (np.isfinite(self.domain_low) and np.isfinite(self.domain_high)):
+            raise ValueError(
+                f"domain bounds must be finite, got [{self.domain_low}, {self.domain_high}]"
+            )
         if not (self.domain_low < self.domain_high):
             raise ValueError(
                 f"domain_low must be < domain_high, got [{self.domain_low}, {self.domain_high}]"
@@ -173,6 +177,12 @@ class ExperimentPlan:
                 raise ValueError(f"unknown strategy {s!r}, expected one of {STRATEGIES}")
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
+        if min(self.seeds) < 0:
+            raise ValueError(f"seeds must be >= 0, got {self.seeds}")
+        if len(self.dims) < 2 or min(self.dims) < 1:
+            raise ValueError(f"dims must be at least 2 widths, each >= 1, got {self.dims}")
+        if self.dims[0] != 2 or self.dims[-1] != 1:
+            raise ValueError(f"dims must have input width 2 and output width 1, got {self.dims}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.baseline_steps < 0 or self.finetune_steps < 0:
@@ -394,33 +404,16 @@ def _plan_with(plan: ExperimentPlan, axis: str, value) -> ExperimentPlan:
     return replace(plan, lr_ratio=float(value))
 
 
-def sweep_cell(plan: ExperimentPlan, axis: str, value, seed: int, baseline: MlpModel) -> dict:
-    """One (value, seed) PROFIT run; isolated so cells can fan out to workers."""
-    cell_plan = _plan_with(plan, axis, value)
-    tuned, traces = finetune_model(cell_plan, baseline, "profit", seed)
-    consumed = {t.batches_consumed for t in traces}
-    if len(consumed) > 1:
-        raise RuntimeError(f"inconsistent batch accounting in traces: {sorted(consumed)}")
-    return {
-        "original_error": evaluate_error(tuned, plan.original),
-        "new_error": evaluate_error(tuned, plan.new),
-        "batches_per_step": consumed.pop() if consumed else cell_plan.n_ref + 1,
-    }
-
-
 def run_ablation_sweep(
     plan: ExperimentPlan,
     axis: str,
     values: Sequence | None = None,
     baselines: dict | None = None,
-    max_workers: int = 1,
 ) -> SweepTable:
-    """Sweep ``n_ref`` or the main/reference learning-rate ratio.
+    """Sweep ``n_ref`` or the main/reference learning-rate ratio, in this process.
 
-    Baselines are trained once per seed and shared across all swept values.
-    With ``max_workers > 1`` the (value, seed) cells run in a process pool;
-    results are identical either way because every cell is seeded
-    independently.
+    Baselines are trained once per seed and shared across all swept values;
+    each row aggregates one value's PROFIT fine-tunes over the seeds.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}, expected one of {tuple(SWEEP_AXES)}")
@@ -432,22 +425,19 @@ def run_ablation_sweep(
         if seed not in baselines:
             baselines[seed] = train_baseline(plan, seed)
 
-    cells = [(value, seed) for value in values for seed in plan.seeds]
-    args = [(plan, axis, value, seed, baselines[seed]) for value, seed in cells]
-    if max_workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            outcomes = list(pool.map(sweep_cell, *zip(*args)))
-    else:
-        outcomes = [sweep_cell(*a) for a in args]
-
-    results = dict(zip(cells, outcomes))
     rows = []
     for value in values:
-        orig, orig_se = _stats([results[(value, s)]["original_error"] for s in plan.seeds])
-        new, new_se = _stats([results[(value, s)]["new_error"] for s in plan.seeds])
-        bps = {results[(value, s)]["batches_per_step"] for s in plan.seeds}
+        cell_plan = _plan_with(plan, axis, value)
+        original_errors, new_errors, consumed = [], [], set()
+        for seed in plan.seeds:
+            tuned, traces = finetune_model(cell_plan, baselines[seed], "profit", seed)
+            original_errors.append(evaluate_error(tuned, plan.original))
+            new_errors.append(evaluate_error(tuned, plan.new))
+            consumed.update(t.batches_consumed for t in traces)
+        if len(consumed) > 1:
+            raise RuntimeError(f"inconsistent batch accounting in traces: {sorted(consumed)}")
+        orig, orig_se = _stats(original_errors)
+        new, new_se = _stats(new_errors)
         rows.append(
             SweepRow(
                 axis=axis,
@@ -458,7 +448,7 @@ def run_ablation_sweep(
                 new_stderr=new_se,
                 n_seeds=len(plan.seeds),
                 steps=plan.finetune_steps,
-                batches_per_step=bps.pop(),
+                batches_per_step=consumed.pop() if consumed else cell_plan.n_ref + 1,
             )
         )
     return SweepTable(rows)

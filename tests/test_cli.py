@@ -324,32 +324,21 @@ def test_sweep_writes_csv_and_reruns_bitwise(cfg_path, tmp_path, capsys):
     assert (out_b / "sweep_n_ref.csv").read_text() == text
 
 
-def test_sweep_worker_cap_from_environment(cfg_path, tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("PROFIT_THREADS", "2")
+def test_sweep_ignores_profit_threads(cfg_path, tmp_path, capsys, monkeypatch):
+    """The sweep has one path: the variable that once chose a process pool
+    changes no byte, even at a value the pool rejected."""
     out = tmp_path / "sw"
-    assert run_cli("sweep", "--config", cfg_path, "--axis", "lr_ratio", "--out-dir", out) == 0
-    assert (out / "sweep_lr_ratio.csv").exists()
 
+    def sweep():
+        assert run_cli("sweep", "--config", cfg_path, "--axis", "n_ref", "--out-dir", out) == 0
+        captured = capsys.readouterr()
+        return captured.out, captured.err, (out / "sweep_n_ref.csv").read_bytes()
 
-@pytest.mark.parametrize("bad", ["0", "-3", "many"])
-def test_sweep_rejects_bad_worker_cap(cfg_path, tmp_path, capsys, monkeypatch, bad):
-    monkeypatch.setenv("PROFIT_THREADS", bad)
-    code = run_cli("sweep", "--config", cfg_path, "--axis", "n_ref", "--out-dir", tmp_path / "s")
-    assert code == 1
-    assert "PROFIT_THREADS must be a positive integer" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "raw, cpus, expected, warned",
-    [("8", 2, 2, True), ("2", 2, 2, False), ("1", 4, 1, False), ("64", None, 64, False)],
-)
-def test_worker_cap_is_at_most_the_cpu_count(monkeypatch, capsys, raw, cpus, expected, warned):
-    """Tested on ``_worker_cap`` alone, so no pool of that size is ever started."""
-    monkeypatch.setenv("PROFIT_THREADS", raw)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-    assert cli._worker_cap() == expected
-    warning = f"warning: PROFIT_THREADS={raw} exceeds the {cpus} CPUs; using {cpus} workers\n"
-    assert capsys.readouterr().err == (warning if warned else "")
+    monkeypatch.delenv("PROFIT_THREADS", raising=False)
+    without = sweep()
+    monkeypatch.setenv("PROFIT_THREADS", "0")
+    assert sweep() == without
+    assert without[1] == ""
 
 
 # ------------------------------------------------------------ exit codes
@@ -370,6 +359,37 @@ def test_bad_config_exits_one_without_partial_outputs(tmp_path, capsys):
     assert code == 1
     assert "unknown key" in capsys.readouterr().err
     assert not out.exists()  # validation failed before anything was created
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("dims", "2"),
+        ("dims", "3,4,1"),
+        ("dims", "2,-4,1"),
+        ("dims", "2,4,2"),
+        ("seeds", "-1"),
+        ("original.domain_low", "-inf"),
+    ],
+)
+def test_configs_the_run_cannot_use_exit_one(key, value, tmp_path, capsys):
+    cfg = tmp_path / "unusable.cfg"
+    cfg.write_text(config_text({key: value}))
+    out = tmp_path / "out"
+    assert run_cli(*baseline_args(cfg, out)) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert not out.exists()
+
+
+def test_out_of_memory_exits_two_with_one_error_line(cfg_path, tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.42 PiB for an array")
+
+    monkeypatch.setattr(toy, "train", exhausted)
+    assert run_cli(*baseline_args(cfg_path, tmp_path / "out")) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["error: Unable to allocate 1.42 PiB for an array"]
 
 
 def test_missing_checkpoint_exits_two(cfg_path, tmp_path, capsys):

@@ -381,6 +381,20 @@ def test_short_state_steps_only_the_trailing_coordinates():
     assert [m["n"] for m in metrics] == [7, 7, 7]
 
 
+def test_plain_training_runs_hooks_without_a_metrics_list():
+    steps = []
+
+    def hook(step, theta):
+        steps.append(step)
+        return {}
+
+    run_plain_training(
+        np.zeros(2), optim.init_state(optim.sgd(0.1), 2), 4, endless(),
+        constant_gradient(np.ones(2)), eval_hooks=(hook,), eval_every=1,
+    )
+    assert steps == [1, 2, 3, 4]
+
+
 def test_state_longer_than_theta_is_rejected_before_any_batch():
     batches = iter(range(5))
     with pytest.raises(DimensionMismatchError, match="covers 4 coordinates, theta has only 3"):

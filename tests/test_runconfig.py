@@ -1,9 +1,13 @@
 """Config parsing: strictness, canonical echo, digest stability, plan wiring."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from profit import optim
 from profit.errors import ConfigError
 from profit.runconfig import SCHEMA, config_from_text, load_config, parse_config_text
+from profit.toy import STRATEGIES
 
 
 def test_empty_text_yields_all_defaults():
@@ -128,3 +132,30 @@ def test_load_config_from_disk(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("finetune.steps = 3\n")
     assert load_config(path).plan.finetune_steps == 3
+
+
+# values a key may plausibly take, plus text that no parser accepts
+_VALUES = st.one_of(
+    st.integers(-3, 600).map(str),
+    st.floats().map(repr),
+    st.lists(st.integers(-3, 600), max_size=5).map(lambda xs: ",".join(map(str, xs))),
+    st.sampled_from(optim.KINDS + STRATEGIES),
+    st.text(max_size=12),
+)
+_KEY_LINES = st.dictionaries(st.sampled_from(tuple(SCHEMA)), _VALUES, max_size=6).map(
+    lambda d: [f"{k} = {v}" for k, v in d.items()]
+)
+_CONFIG_TEXT = (
+    st.tuples(_KEY_LINES, st.lists(st.text(max_size=30), max_size=2))
+    .flatmap(lambda parts: st.permutations(parts[0] + parts[1]))
+    .map("\n".join)
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(text=_CONFIG_TEXT)
+def test_config_text_fails_only_with_config_errors(text):
+    try:
+        config_from_text(text)
+    except ConfigError:
+        pass

@@ -9,8 +9,9 @@ import pytest
 
 from profit import toy
 from profit.checkpoint import rng_state_of
+from profit.core import ProfitStepTrace
 from profit.errors import NonFiniteError
-from profit.mlp import LAYER_DIMS, flatten, param_count, unflatten
+from profit.mlp import LAYER_DIMS, flatten, init_model, param_count, unflatten
 from profit.toy import (
     NEW_DOMAIN,
     ORIGINAL_DOMAIN,
@@ -369,11 +370,16 @@ def test_sweep_csv_roundtrip(golden_dir):
         SweepTable.from_csv_text("x\n")
 
 
-def test_sweep_parallel_workers_match_serial(tiny_baselines):
-    plan = make_tiny_plan(seeds=(0, 1), finetune_steps=50)
-    baselines = {s: tiny_baselines[s] for s in (0, 1)}
-    serial = run_ablation_sweep(plan, "n_ref", values=(2,), baselines=dict(baselines))
-    parallel = run_ablation_sweep(
-        plan, "n_ref", values=(2,), baselines=dict(baselines), max_workers=2
-    )
-    assert serial.to_csv_text() == parallel.to_csv_text()
+@pytest.mark.parametrize("per_seed", [((2, 3), (2, 3)), ((2,), (3,))], ids=["within", "across"])
+def test_sweep_rejects_inconsistent_batch_accounting(monkeypatch, per_seed):
+    """Each row's ``batches_per_step`` is read from its traces, which must agree
+    within a run and across seeds."""
+    plan = make_tiny_plan(seeds=(0, 1))
+    base = init_model(plan.dims, make_rng(0))
+
+    def fake_finetune(cell_plan, baseline, strategy, seed):
+        return baseline, [ProfitStepTrace(-1.0, True, False, 1.0, 1.0, n) for n in per_seed[seed]]
+
+    monkeypatch.setattr(toy, "finetune_model", fake_finetune)
+    with pytest.raises(RuntimeError, match=r"inconsistent batch accounting in traces: \[2, 3\]"):
+        run_ablation_sweep(plan, "n_ref", values=(1,), baselines={0: base, 1: base})
