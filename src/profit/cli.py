@@ -20,7 +20,9 @@ last metrics row when it was taken at the final step (``baseline.steps``, or
 ``finetune.steps``, plus ``profit.warmup_steps`` for PROFIT): that hook saw
 the weights that are saved.  Only otherwise, with no such row, are the grids
 forwarded again.  Exit codes: 0 success, 1 usage or config error, 2 runtime,
-checkpoint, numeric or out-of-memory error.  File writes go to a uniquely
+checkpoint, numeric or out-of-memory error.  Config errors include PROFIT
+settings that cannot run (for any strategy), a negative ``--seed`` and a
+config file that cannot be read as text.  File writes go to a uniquely
 named temporary file that is then renamed over the target.
 """
 
@@ -62,6 +64,17 @@ def _out_dir(args, cfg: RunConfig) -> Path:
     out = Path(args.out_dir if args.out_dir else cfg.values["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _seed_flag(text: str) -> int:
+    """Type of ``--seed``: an integer >= 0, as the config's ``seeds`` are."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
 
 
 def _seed(args, plan) -> int:
@@ -117,8 +130,11 @@ def _train_and_save(
         csv_text(",".join(columns), ([entry[c] for c in columns] for entry in metrics)).encode(),
     )
     if strategy == "profit":
-        lines = [ProfitStepTrace.CSV_HEADER] + [t.csv_row(i + 1) for i, t in enumerate(traces)]
-        write_atomic(out / f"profit_trace_seed{seed}.csv", ("\n".join(lines) + "\n").encode())
+        # the flags go in as ints: csv_text would write a bool as True or False
+        rows = [(i, t.omega, int(t.projected), t.delta_norm, t.g_norm, t.batches_consumed,
+                 int(t.degenerate)) for i, t in enumerate(traces, start=1)]
+        text = csv_text(ProfitStepTrace.CSV_HEADER, rows)
+        write_atomic(out / f"profit_trace_seed{seed}.csv", text.encode())
 
     errors = _final_errors(metrics, final_step, theta, plan, domains)
     report = " ".join(f"{domain}_error={err!r}" for domain, err in zip(domains, errors))
@@ -199,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-baseline", help="train the from-scratch baseline")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed_flag, default=None)
     p.add_argument("--out-dir", default=None)
     p.set_defaults(func=cmd_train_baseline)
 
@@ -207,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--strategy", choices=STRATEGIES, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed_flag, default=None)
     p.add_argument("--out-dir", default=None)
     p.set_defaults(func=cmd_finetune)
 

@@ -80,12 +80,6 @@ class ProfitStepTrace:
 
     CSV_HEADER = "step,omega,projected,delta_norm,g_norm,batches_consumed,degenerate"
 
-    def csv_row(self, step: int) -> str:
-        return (
-            f"{step},{self.omega!r},{int(self.projected)},{self.delta_norm!r},"
-            f"{self.g_norm!r},{self.batches_consumed},{int(self.degenerate)}"
-        )
-
 
 def _next_batch(batch_source: Iterator, needed: int):
     try:

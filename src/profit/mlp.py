@@ -78,10 +78,6 @@ class MlpModel:
     def dims(self) -> tuple:
         return (self.weights[0].shape[0],) + tuple(w.shape[1] for w in self.weights)
 
-    @property
-    def n_params(self) -> int:
-        return param_count(self.dims)
-
 
 def param_count(dims) -> int:
     """Total flat dimension for an architecture: sum of fan_in*fan_out + fan_out."""
@@ -93,10 +89,8 @@ def head_block_size(dims=LAYER_DIMS) -> int:
     return dims[-2] * dims[-1] + dims[-1]
 
 
-def init_model(dims=LAYER_DIMS, rng: np.random.Generator | None = None) -> MlpModel:
-    """Symmetric uniform init, +-sqrt(6 / (fan_in + fan_out)) per layer, zero biases."""
-    if rng is None:
-        rng = np.random.default_rng(0)
+def init_model(dims, rng: np.random.Generator) -> MlpModel:
+    """Uniform init from ``rng``: +-sqrt(6 / (fan_in + fan_out)) per layer, zero biases."""
     weights = []
     for a, b in zip(dims[:-1], dims[1:]):
         bound = np.sqrt(6.0 / (a + b))
@@ -143,9 +137,9 @@ def backward(
 ) -> tuple[float, np.ndarray]:
     """MSE loss and its exact gradient with respect to the flat weights.
 
-    ``out``, when given, must be a vector of length ``model.n_params``; the
-    gradient is written into it and returned, which saves an allocation per
-    step on hot training loops.
+    ``out``, when given, must be a vector of length ``param_count(model.dims)``;
+    the gradient is written into it and returned, which saves an allocation
+    per step on hot training loops.
 
     Raises ``NonFiniteError`` naming the first layer whose pre-activation
     overflows, so a diverging run fails loudly instead of propagating NaNs.
@@ -233,12 +227,12 @@ def flatten(model: MlpModel) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def unflatten(values: np.ndarray, dims=LAYER_DIMS, copy: bool = True) -> MlpModel:
+def unflatten(values: np.ndarray, dims=LAYER_DIMS) -> MlpModel:
     """Inverse of ``flatten`` for the given architecture.
 
-    With ``copy=False`` the layers are read-only views into ``values``, which
-    avoids a full parameter copy per call on hot loops; the caller must keep
-    ``values`` unchanged for as long as the model is in use.
+    The model aliases ``values``: its layers are views into the vector, not
+    copies, so the caller must keep ``values`` unchanged for as long as the
+    model is in use.
     """
     expected = param_count(dims)
     if values.shape != (expected,):
@@ -249,10 +243,8 @@ def unflatten(values: np.ndarray, dims=LAYER_DIMS, copy: bool = True) -> MlpMode
     weights, biases = [], []
     pos = 0
     for a, b in zip(dims[:-1], dims[1:]):
-        w = values[pos : pos + a * b].reshape(a, b)
+        weights.append(values[pos : pos + a * b].reshape(a, b))
         pos += a * b
-        bias = values[pos : pos + b]
+        biases.append(values[pos : pos + b])
         pos += b
-        weights.append(w.copy() if copy else w)
-        biases.append(bias.copy() if copy else bias)
     return MlpModel(tuple(weights), tuple(biases))

@@ -165,4 +165,8 @@ def load_config(path) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    return config_from_text(path.read_text())
+    try:
+        text = path.read_text()
+    except (UnicodeDecodeError, IsADirectoryError) as exc:
+        raise ConfigError(f"cannot read config file {path} as text: {exc}") from None
+    return config_from_text(text)

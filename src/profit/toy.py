@@ -14,7 +14,7 @@ stream, stream 2 the new-domain fine-tuning stream.
 
 import time
 from collections.abc import Iterator, Sequence
-from dataclasses import astuple, dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
@@ -136,7 +136,7 @@ def mlp_gradient_fn(dims=LAYER_DIMS, head_only: bool = False, loss_out: list | N
     buffer = np.empty(head_block_size(dims) if head_only else mlp.param_count(dims))
 
     def gradient(theta: np.ndarray, batch: Batch) -> np.ndarray:
-        model = unflatten(theta, dims, copy=False)  # theta is not written during the call
+        model = unflatten(theta, dims)  # theta is not written during the call
         loss, g = compute(model, batch, out=buffer)
         if loss_out is not None:
             loss_out[0] = loss
@@ -189,6 +189,7 @@ class ExperimentPlan:
             raise ValueError("step counts must be >= 0")
         if not (np.isfinite(self.lr_ratio) and self.lr_ratio > 0):
             raise ValueError(f"lr_ratio must be positive, got {self.lr_ratio}")
+        self.profit_config()  # PROFIT settings that cannot run fail here, not mid-run
 
     def profit_config(self) -> ProfitConfig:
         reference = optim.OptimizerSpec(self.ref_kind, self.finetune.learning_rate / self.lr_ratio)
@@ -237,7 +238,9 @@ def train_baseline(plan: ExperimentPlan, seed: int) -> MlpModel:
     """Train the from-scratch baseline on the original domain for one seed."""
     theta0 = flatten(mlp.init_model(plan.dims, make_rng(seed, STREAM_INIT)))
     theta, *_ = train(plan, seed, "baseline", theta0)
-    return unflatten(theta, plan.dims)
+    # a copy: views would keep the run's vector on top of its freed buffers, which
+    # the heap then cannot give back (perfbench's peak RSS rose 12% without it)
+    return unflatten(theta.copy(), plan.dims)
 
 
 def finetune_model(
@@ -250,7 +253,7 @@ def finetune_model(
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
     theta, traces, *_ = train(plan, seed, strategy, flatten(baseline_model))
-    return unflatten(theta, plan.dims), traces
+    return unflatten(theta.copy(), plan.dims), traces  # a copy, as in train_baseline
 
 
 @dataclass(frozen=True)
@@ -278,32 +281,15 @@ def csv_text(header: str, rows) -> str:
 
 @dataclass
 class _CsvTable:
-    """Rows of the dataclass ``ROW``, read and written as CSV under ``CSV_HEADER``.
+    """Rows of the dataclass ``ROW``, written as CSV under ``CSV_HEADER``.
 
-    The columns are ``ROW``'s fields in order, each parsed with its
-    annotated type.
+    The columns are ``ROW``'s fields in order.
     """
 
     rows: list
 
     def to_csv_text(self) -> str:
         return csv_text(self.CSV_HEADER, map(astuple, self.rows))
-
-    @classmethod
-    def from_csv_text(cls, text: str):
-        lines = text.strip().splitlines()
-        if not lines or lines[0] != cls.CSV_HEADER:
-            raise ValueError(f"not a {cls.__name__} CSV: bad header")
-        types = [f.type for f in fields(cls.ROW)]
-        rows = []
-        for lineno, line in enumerate(lines[1:], start=2):
-            if not line:
-                continue
-            try:  # a wrong cell count fails the strict zip
-                rows.append(cls.ROW(*(t(c) for t, c in zip(types, line.split(","), strict=True))))
-            except ValueError as exc:
-                raise ValueError(f"{cls.__name__} CSV line {lineno} {line!r}: {exc}") from None
-        return cls(rows)
 
 
 def _stats(vals) -> tuple[float, float]:
@@ -322,21 +308,6 @@ class ResultsTable(_CsvTable):
 
     def strategy_rows(self, strategy: str) -> list:
         return [r for r in self.rows if r.strategy == strategy]
-
-    def summary(self) -> dict:
-        """Per-strategy mean, standard error, and best of both error columns."""
-        out = {}
-        for strategy in dict.fromkeys(r.strategy for r in self.rows):
-            rows = self.strategy_rows(strategy)
-            out[strategy] = {}
-            for name in ("original", "new"):
-                vals = [getattr(r, f"{name}_error") for r in rows]
-                mean, stderr = _stats(vals)
-                out[strategy][f"{name}_mean"] = mean
-                out[strategy][f"{name}_stderr"] = stderr
-                out[strategy][f"{name}_best"] = float(np.min(vals))
-            out[strategy]["n_seeds"] = len(rows)
-        return out
 
 
 def _result_row(plan: ExperimentPlan, strategy, seed, model, steps, wall) -> ResultRow:

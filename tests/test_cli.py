@@ -1,5 +1,6 @@
 """End-to-end command-line tests on a miniature configuration."""
 
+import argparse
 import os
 import subprocess
 import sys
@@ -144,6 +145,13 @@ def test_finetune_profit_writes_trace_metrics_and_checkpoint(cfg_path, trained, 
     metrics = (out / "profit_metrics_seed0.csv").read_text().splitlines()
     assert metrics[0] == "step,train_loss,original_error,new_error"
     assert len(metrics) == 1 + 12 // 5
+
+
+def test_profit_trace_writes_its_flags_as_zero_or_one(cfg_path, trained, tmp_path, capsys):
+    out = tmp_path / "ft"
+    assert run_cli(*finetune_args(cfg_path, trained, out, "profit")) == 0
+    rows = [ln.split(",") for ln in (out / "profit_trace_seed0.csv").read_text().splitlines()[1:]]
+    assert rows and all(r[2] in ("0", "1") and r[6] in ("0", "1") for r in rows)
 
 
 def test_finetune_plain_strategies_have_no_trace(cfg_path, trained, tmp_path, capsys):
@@ -380,6 +388,82 @@ def test_configs_the_run_cannot_use_exit_one(key, value, tmp_path, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"profit.n_ref": "0"},
+        {"profit.warmup_steps": "-1"},
+        {"finetune.lr": "1e-20", "profit.lr_ratio": "1e308"},  # reference rate underflows to 0
+    ],
+    ids=["n_ref", "warmup", "reference_rate"],
+)
+def test_profit_settings_that_cannot_run_exit_one(overrides, trained, tmp_path, capsys):
+    cfg = tmp_path / "profit.cfg"
+    cfg.write_text(config_text(overrides))
+    out = tmp_path / "tuned"
+    assert run_cli(*finetune_args(cfg, trained, out, "profit")) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train-baseline", "finetune-full", "evaluate"])
+def test_profit_settings_that_cannot_run_fail_every_command(command, trained, tmp_path, capsys):
+    cfg = tmp_path / "profit.cfg"
+    cfg.write_text(config_text({"profit.n_ref": "0"}))
+    out = tmp_path / "run"
+    argv = {
+        "train-baseline": baseline_args(cfg, out),
+        "finetune-full": finetune_args(cfg, trained, out, "full"),
+        "evaluate": ("evaluate", "--config", cfg, "--checkpoint", trained, "--out-dir", out),
+    }[command]
+    assert run_cli(*argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train-baseline", "finetune"])
+def test_negative_seed_flag_exits_one(command, cfg_path, tmp_path, capsys):
+    argv = [command, "--config", cfg_path, "--out-dir", tmp_path / "out", "--seed", "-1"]
+    if command == "finetune":
+        argv += ["--checkpoint", tmp_path / "x.pfit"]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 1
+    errors = [ln for ln in capsys.readouterr().err.splitlines() if "error:" in ln]
+    assert errors == [f"profit {command}: error: argument --seed: must be >= 0, got -1"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_seed_flag_accepts_zero_and_rejects_non_integers():
+    assert cli._seed_flag("0") == 0
+    assert cli._seed_flag("17") == 17
+    for text in ("1.5", "abc", ""):
+        with pytest.raises(argparse.ArgumentTypeError, match="expected an integer"):
+            cli._seed_flag(text)
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [("train-baseline", "bytes"), ("evaluate", "bytes"), ("train-baseline", "dir")],
+)
+def test_config_that_is_not_text_exits_one_naming_the_file(command, config, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    if config == "bytes":
+        cfg.write_bytes(b"dims = 2,4,1\n\xff\n")
+    else:
+        cfg.mkdir()
+    argv = [command, "--config", cfg, "--out-dir", tmp_path / "out"]
+    if command == "evaluate":
+        argv += ["--checkpoint", tmp_path / "x.pfit"]
+    assert run_cli(*argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: cannot read config file {cfg} as text: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_out_of_memory_exits_two_with_one_error_line(cfg_path, tmp_path, capsys, monkeypatch):

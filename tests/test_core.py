@@ -60,15 +60,11 @@ def test_config_rejects_negative_warmup():
         sgd_config(warmup=-1)
 
 
-def test_trace_csv_row_matches_header_order():
-    trace = ProfitStepTrace(
-        omega=-0.5, projected=True, degenerate=False,
-        delta_norm=1.25, g_norm=2.5, batches_consumed=2,
-    )
+def test_trace_csv_header_order():
+    # the row bytes under this header are pinned by tests/test_cli_bytes.py
     assert ProfitStepTrace.CSV_HEADER == (
         "step,omega,projected,delta_norm,g_norm,batches_consumed,degenerate"
     )
-    assert trace.csv_row(7) == "7,-0.5,1,1.25,2.5,2,0"
 
 
 # ------------------------------------------------------------- the gate

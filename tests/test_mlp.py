@@ -233,7 +233,7 @@ def test_backward_out_buffer_matches_fresh_allocation():
     model = init_model((2, 7, 3, 1), rng)
     batch = Batch(rng.standard_normal((9, 2)), rng.standard_normal(9))
     loss_a, g_a = backward(model, batch)
-    buf = np.full(model.n_params, np.e)
+    buf = np.full(param_count(model.dims), np.e)
     loss_b, g_b = backward(model, batch, out=buf)
     assert loss_a == loss_b
     assert np.array_equal(g_a, g_b)
@@ -274,7 +274,7 @@ def test_backward_head_writes_into_a_head_sized_out_and_rejects_a_parameter_size
     assert g is buf
     assert g.tobytes() == backward(model, batch)[1][-head:].tobytes()
     with pytest.raises(DimensionMismatchError, match=rf"expected \({head},\)"):
-        backward_head(model, batch, out=np.zeros(model.n_params))
+        backward_head(model, batch, out=np.zeros(param_count(model.dims)))
 
 
 # ------------------------------------------------------- flatten / unflatten
@@ -316,12 +316,12 @@ def test_unflatten_wrong_length_states_expected_count():
         unflatten(np.zeros(10), LAYER_DIMS)
 
 
-def test_unflatten_views_share_memory_only_when_asked():
+def test_unflatten_returns_views_of_its_input():
     v = np.zeros(param_count((2, 3, 1)))
-    viewed = unflatten(v, (2, 3, 1), copy=False)
-    copied = unflatten(v, (2, 3, 1))
-    assert np.shares_memory(viewed.weights[0], v)
-    assert not np.shares_memory(copied.weights[0], v)
+    model = unflatten(v, (2, 3, 1))
+    assert all(np.shares_memory(a, v) for a in model.weights + model.biases)
+    v[-1] = 2.5  # the final bias
+    assert model.biases[-1][0] == 2.5
 
 
 # ---------------------------------------------------------------- init

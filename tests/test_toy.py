@@ -1,8 +1,8 @@
 """Benchmark-layer tests: data generation, strategies, tables, sweeps, goldens."""
 
+import csv
 import dataclasses
 import itertools
-import re
 
 import numpy as np
 import pytest
@@ -19,6 +19,7 @@ from profit.toy import (
     ExperimentPlan,
     ResultRow,
     ResultsTable,
+    SweepRow,
     SweepTable,
     ToyDataConfig,
     batch_stream,
@@ -254,52 +255,30 @@ def sample_table() -> ResultsTable:
 
 def test_results_table_csv_roundtrip_is_exact():
     table = sample_table()
-    again = ResultsTable.from_csv_text(table.to_csv_text())
-    assert again.rows == table.rows
+    header, *lines = table.to_csv_text().splitlines()
+    assert header == ResultsTable.CSV_HEADER
+    types = [f.type for f in dataclasses.fields(ResultRow)]
+    for row, line in zip(table.rows, lines, strict=True):
+        cells = [t(c) for t, c in zip(types, line.split(","), strict=True)]
+        assert cells == list(dataclasses.astuple(row))
 
 
-def test_results_table_rejects_foreign_header():
-    with pytest.raises(ValueError, match="bad header"):
-        ResultsTable.from_csv_text("a,b,c\n1,2,3\n")
+def test_sweep_table_csv_cells_parse_back_exact():
+    table = SweepTable([
+        SweepRow("lr_ratio", 0.1 + 0.2, np.pi / 64.0, 1e-17, 6.5, 0.0, 3, 200, 2),
+        SweepRow("lr_ratio", 1e300, 0.9, 0.1, np.e, 0.25, 1, 7, 6),
+    ])
+    header, *lines = table.to_csv_text().splitlines()
+    assert header == SweepTable.CSV_HEADER
+    types = [f.type for f in dataclasses.fields(SweepRow)]
+    for row, line in zip(table.rows, lines, strict=True):
+        cells = [t(c) for t, c in zip(types, line.split(","), strict=True)]
+        assert cells == list(dataclasses.astuple(row))
 
 
 @pytest.mark.parametrize("table", [ResultsTable, SweepTable])
 def test_table_header_lists_the_row_fields_in_order(table):
     assert table.CSV_HEADER == ",".join(f.name for f in dataclasses.fields(table.ROW))
-
-
-GOOD_ROWS = {ResultsTable: "full,0,0.9,0.1,200,0.5", SweepTable: "n_ref,1.0,0.5,0.01,0.6,0.02,3,200,2"}
-MALFORMED_ROWS = [
-    (ResultsTable, "full,0,0.9,0.1,200"),  # too few cells
-    (ResultsTable, "full,0,0.9,0.1,200,0.5,7"),  # too many cells
-    (ResultsTable, "full,0,abc,0.1,200,0.5"),  # non-numeric float
-    (ResultsTable, "full,zero,0.9,0.1,200,0.5"),  # non-numeric int
-    (ResultsTable, ","),  # two empty cells
-    (SweepTable, "n_ref,1.0,0.5,0.01,0.6,0.02,3,200"),
-    (SweepTable, "n_ref,1.0,0.5,0.01,0.6,0.02,3,200,2,9"),
-    (SweepTable, "n_ref,one,0.5,0.01,0.6,0.02,3,200,2"),
-    (SweepTable, "n_ref,1.0,0.5,0.01,0.6,0.02,3,200,2.5"),
-]
-
-
-@pytest.mark.parametrize("table, bad", MALFORMED_ROWS)
-def test_malformed_table_rows_raise_value_error_naming_the_line(table, bad):
-    text = f"{table.CSV_HEADER}\n{GOOD_ROWS[table]}\n{bad}\n{GOOD_ROWS[table]}\n"
-    with pytest.raises(ValueError, match=f"line 3 {re.escape(repr(bad))}"):
-        table.from_csv_text(text)
-
-
-def test_results_table_summary_matches_hand_numpy():
-    summary = sample_table().summary()
-    full = summary["full"]
-    vals = np.array([0.9, 0.7])
-    assert full["original_mean"] == pytest.approx(0.8)
-    assert full["original_stderr"] == pytest.approx(float(np.std(vals, ddof=1) / np.sqrt(2)))
-    assert full["original_best"] == 0.7
-    assert full["new_mean"] == pytest.approx(0.2)
-    assert full["n_seeds"] == 2
-    assert summary["baseline"]["original_stderr"] == 0.0
-    assert summary["baseline"]["n_seeds"] == 1
 
 
 # ------------------------------------------------------------ experiment
@@ -357,17 +336,11 @@ def test_sweep_tables_match_goldens(tiny_plan, tiny_baselines, golden_dir):
         assert sweep.to_csv_text() == (golden_dir / name).read_text()
 
 
-def test_sweep_more_reference_steps_change_batch_accounting(tiny_plan, tiny_baselines, golden_dir):
-    sweep = SweepTable.from_csv_text((golden_dir / "sweep_n_ref.csv").read_text())
-    assert [r.batches_per_step for r in sweep.rows] == [2, 3, 6]
-    assert [r.value for r in sweep.rows] == [1.0, 2.0, 5.0]
-
-
-def test_sweep_csv_roundtrip(golden_dir):
-    text = (golden_dir / "sweep_lr_ratio.csv").read_text()
-    assert SweepTable.from_csv_text(text).to_csv_text() == text
-    with pytest.raises(ValueError, match="bad header"):
-        SweepTable.from_csv_text("x\n")
+def test_sweep_more_reference_steps_change_batch_accounting(golden_dir):
+    with open(golden_dir / "sweep_n_ref.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [int(r["batches_per_step"]) for r in rows] == [2, 3, 6]
+    assert [float(r["value"]) for r in rows] == [1.0, 2.0, 5.0]
 
 
 @pytest.mark.parametrize("per_seed", [((2, 3), (2, 3)), ((2,), (3,))], ids=["within", "across"])
