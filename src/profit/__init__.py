@@ -2,10 +2,10 @@
 
 The core idea: take a few cheap probe steps with a reference optimizer,
 measure the displacement Delta they produce, then test the fresh gradient
-against Delta.  A negative inner product means the proposed update points
-back toward forgetting the pre-trained solution, so the gradient is
-projected onto the subspace orthogonal to Delta before the real optimizer
-applies it from the restored starting weights.
+against Delta.  A negative inner product means the proposed update would
+continue the probe's drift away from the pre-trained solution, so the
+gradient is projected onto the subspace orthogonal to Delta before the real
+optimizer applies it from the restored starting weights.
 
 Layout: ``paramvec`` (flat parameter-vector algebra), ``optim`` (SGD,
 RMSProp, Adam on flat vectors), ``mlp`` (small dense network with hand-coded
@@ -57,54 +57,3 @@ from .toy import (
 pin_one_thread()
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Batch",
-    "BatchStreamExhaustedError",
-    "Checkpoint",
-    "CheckpointError",
-    "ConfigError",
-    "DimensionMismatchError",
-    "EPS_DEGENERATE",
-    "ExperimentPlan",
-    "LAYER_DIMS",
-    "MlpModel",
-    "NEW_DOMAIN",
-    "NonFiniteError",
-    "ORIGINAL_DOMAIN",
-    "OptimizerSpec",
-    "OptimizerState",
-    "ProfitConfig",
-    "ProfitStepTrace",
-    "Rejection",
-    "ResultsTable",
-    "RunConfig",
-    "STRATEGIES",
-    "SweepTable",
-    "ToyDataConfig",
-    "adam",
-    "backward",
-    "config_from_text",
-    "evaluate_error",
-    "finetune_model",
-    "flatten",
-    "forward",
-    "init_model",
-    "init_state",
-    "load_checkpoint",
-    "load_config",
-    "orthogonal_reject",
-    "profit_step",
-    "profit_workspace",
-    "rmsprop",
-    "run_ablation_sweep",
-    "run_experiment",
-    "run_plain_training",
-    "run_profit_training",
-    "save_checkpoint",
-    "sgd",
-    "step",
-    "target_function",
-    "train_baseline",
-    "unflatten",
-]

@@ -48,10 +48,6 @@ class Batch:
         if not (np.isfinite(self.inputs).all() and np.isfinite(self.targets).all()):
             raise NonFiniteError("batch contains NaN or Inf")
 
-    @property
-    def size(self) -> int:
-        return len(self.targets)
-
 
 @dataclass(frozen=True)
 class MlpModel:
@@ -84,7 +80,7 @@ def param_count(dims) -> int:
     return sum(d_in * d_out + d_out for d_in, d_out in zip(dims[:-1], dims[1:]))
 
 
-def head_block_size(dims=LAYER_DIMS) -> int:
+def head_block_size(dims) -> int:
     """Flat length of the final layer's weights plus bias: the layout's trailing block."""
     return dims[-2] * dims[-1] + dims[-1]
 
@@ -185,7 +181,7 @@ def _backward(
         acts.append(h)
 
     preds = acts[-1][:, 0]
-    batch_size = batch.size
+    batch_size = len(batch.targets)
     resid = preds - batch.targets
     loss = float(np.dot(resid, resid) / batch_size)
 
@@ -227,7 +223,7 @@ def flatten(model: MlpModel) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def unflatten(values: np.ndarray, dims=LAYER_DIMS) -> MlpModel:
+def unflatten(values: np.ndarray, dims) -> MlpModel:
     """Inverse of ``flatten`` for the given architecture.
 
     The model aliases ``values``: its layers are views into the vector, not

@@ -182,7 +182,7 @@ def step(
         v *= spec.rho
         v += c
         if _flush_is_exact(spec):
-            np.copyto(v, 0.0, where=v < _TINY)
+            np.multiply(v, v >= _TINY, out=v)  # v >= 0, so a flushed entry is +0.0
         denom = np.sqrt(v, out=c)
         denom += spec.epsilon
         np.multiply(g, lr, out=update)

@@ -116,7 +116,7 @@ def evaluate_error(model: MlpModel, config: ToyDataConfig) -> float:
     return mlp.loss_mse(preds, target_function(pts))
 
 
-def mlp_gradient_fn(dims=LAYER_DIMS, head_only: bool = False, loss_out: list | None = None):
+def mlp_gradient_fn(dims, head_only: bool = False, loss_out: list | None = None):
     """gradient_fn over flat weights for the training loops.
 
     The callable takes the full flat weights.  It returns the gradient of
@@ -189,6 +189,12 @@ class ExperimentPlan:
             raise ValueError("step counts must be >= 0")
         if not (np.isfinite(self.lr_ratio) and self.lr_ratio > 0):
             raise ValueError(f"lr_ratio must be positive, got {self.lr_ratio}")
+        reference_rate = self.finetune.learning_rate / self.lr_ratio
+        if not 0.0 < reference_rate < np.inf:
+            raise ValueError(
+                f"reference rate = fine-tune rate / lr_ratio = {self.finetune.learning_rate!r}"
+                f" / {self.lr_ratio!r} = {reference_rate!r}, which must be positive and finite"
+            )
         self.profit_config()  # PROFIT settings that cannot run fail here, not mid-run
 
     def profit_config(self) -> ProfitConfig:
@@ -281,10 +287,7 @@ def csv_text(header: str, rows) -> str:
 
 @dataclass
 class _CsvTable:
-    """Rows of the dataclass ``ROW``, written as CSV under ``CSV_HEADER``.
-
-    The columns are ``ROW``'s fields in order.
-    """
+    """Dataclass rows, written as CSV under ``CSV_HEADER``: the row's fields in order."""
 
     rows: list
 
@@ -303,11 +306,7 @@ def _stats(vals) -> tuple[float, float]:
 class ResultsTable(_CsvTable):
     """Per-seed benchmark rows; CSV header strategy,seed,original_error,new_error,steps,wall_time_s."""
 
-    ROW = ResultRow
     CSV_HEADER = "strategy,seed,original_error,new_error,steps,wall_time_s"
-
-    def strategy_rows(self, strategy: str) -> list:
-        return [r for r in self.rows if r.strategy == strategy]
 
 
 def _result_row(plan: ExperimentPlan, strategy, seed, model, steps, wall) -> ResultRow:
@@ -362,7 +361,6 @@ class SweepRow:
 class SweepTable(_CsvTable):
     """One aggregated PROFIT row per swept value."""
 
-    ROW = SweepRow
     CSV_HEADER = (
         "axis,value,original_error,original_stderr,new_error,new_stderr,"
         "n_seeds,steps,batches_per_step"

@@ -473,7 +473,7 @@ def full_scale(product_timings):
 
 
 def seed_errors(table, strategy, column):
-    return {r.seed: getattr(r, column) for r in table.strategy_rows(strategy)}
+    return {r.seed: getattr(r, column) for r in table.rows if r.strategy == strategy}
 
 
 def fmt(values: dict) -> str:

@@ -391,21 +391,26 @@ def test_configs_the_run_cannot_use_exit_one(key, value, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "overrides",
+    ("overrides", "names"),
     [
-        {"profit.n_ref": "0"},
-        {"profit.warmup_steps": "-1"},
-        {"finetune.lr": "1e-20", "profit.lr_ratio": "1e308"},  # reference rate underflows to 0
+        ({"profit.n_ref": "0"}, ["n_ref"]),
+        ({"profit.warmup_steps": "-1"}, ["warmup_steps"]),
+        # the reference rate underflows to 0: the message names both settings and values
+        (
+            {"finetune.lr": "1e-20", "profit.lr_ratio": "1e308"},
+            ["fine-tune rate", "lr_ratio", "1e-20", "1e+308"],
+        ),
     ],
     ids=["n_ref", "warmup", "reference_rate"],
 )
-def test_profit_settings_that_cannot_run_exit_one(overrides, trained, tmp_path, capsys):
+def test_profit_settings_that_cannot_run_exit_one(overrides, names, trained, tmp_path, capsys):
     cfg = tmp_path / "profit.cfg"
     cfg.write_text(config_text(overrides))
     out = tmp_path / "tuned"
     assert run_cli(*finetune_args(cfg, trained, out, "profit")) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert all(name in lines[0] for name in names), lines[0]
     assert not out.exists()
 
 

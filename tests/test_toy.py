@@ -143,7 +143,7 @@ def test_evaluation_grid_shape_and_corners():
 
 def test_zero_model_grid_errors_match_frozen_values():
     """MSE of the all-zero network is the grid mean of sin^2(10r)."""
-    model = unflatten(np.zeros(param_count(LAYER_DIMS)))
+    model = unflatten(np.zeros(param_count(LAYER_DIMS)), LAYER_DIMS)
     assert evaluate_error(model, ORIGINAL_DOMAIN) == pytest.approx(
         0.48814119117337257, abs=1e-15
     )
@@ -154,7 +154,7 @@ def test_zero_model_grid_errors_match_frozen_values():
 
 
 def test_head_block_size_standard_dims():
-    assert head_block_size() == 501
+    assert head_block_size(LAYER_DIMS) == 501
     assert head_block_size((2, 3, 3, 1)) == 4
 
 
@@ -276,9 +276,12 @@ def test_sweep_table_csv_cells_parse_back_exact():
         assert cells == list(dataclasses.astuple(row))
 
 
-@pytest.mark.parametrize("table", [ResultsTable, SweepTable])
-def test_table_header_lists_the_row_fields_in_order(table):
-    assert table.CSV_HEADER == ",".join(f.name for f in dataclasses.fields(table.ROW))
+@pytest.mark.parametrize(
+    ("table", "row"), [(ResultsTable, ResultRow), (SweepTable, SweepRow)],
+    ids=["ResultsTable", "SweepTable"],
+)
+def test_table_header_lists_the_row_fields_in_order(table, row):
+    assert table.CSV_HEADER == ",".join(f.name for f in dataclasses.fields(row))
 
 
 # ------------------------------------------------------------ experiment
@@ -304,9 +307,10 @@ def test_experiment_trains_missing_baselines_to_the_same_result(tiny_baselines):
 def test_experiment_row_layout(tiny_plan, tiny_baselines):
     table = run_experiment(tiny_plan, dict(tiny_baselines))
     assert [r.strategy for r in table.rows] == ["baseline", *STRATEGIES] * len(tiny_plan.seeds)
-    assert [r.seed for r in table.strategy_rows("profit")] == list(tiny_plan.seeds)
-    assert all(r.steps == tiny_plan.baseline_steps for r in table.strategy_rows("baseline"))
-    assert all(r.steps == tiny_plan.finetune_steps for r in table.strategy_rows("full"))
+    rows = {s: [r for r in table.rows if r.strategy == s] for s in ("baseline", *STRATEGIES)}
+    assert [r.seed for r in rows["profit"]] == list(tiny_plan.seeds)
+    assert all(r.steps == tiny_plan.baseline_steps for r in rows["baseline"])
+    assert all(r.steps == tiny_plan.finetune_steps for r in rows["full"])
 
 
 # ---------------------------------------------------------------- sweeps
@@ -322,7 +326,7 @@ def test_sweep_single_value_agrees_with_experiment(tiny_plan, tiny_baselines):
     sweep = run_ablation_sweep(
         tiny_plan, "n_ref", values=(tiny_plan.n_ref,), baselines=dict(tiny_baselines)
     )
-    profit_orig = np.array([r.original_error for r in table.strategy_rows("profit")])
+    profit_orig = np.array([r.original_error for r in table.rows if r.strategy == "profit"])
     row = sweep.rows[0]
     assert row.axis == "n_ref" and row.value == float(tiny_plan.n_ref)
     assert row.original_error == pytest.approx(float(profit_orig.mean()), rel=1e-15)
