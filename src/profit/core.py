@@ -155,6 +155,12 @@ def profit_step(
     return theta, main_state, ref_state, trace
 
 
+def _plain_update(theta: np.ndarray, state: OptimizerState, batch_source: Iterator, gradient_fn):
+    """A plain step as an ``update()``: one batch, one ``state`` step of theta's trailing view."""
+    trained = theta[len(theta) - state.n :]
+    return lambda: optim.step(state, trained, gradient_fn(theta, _next_batch(batch_source, 1)))
+
+
 def run_plain_training(
     theta: np.ndarray,
     state: OptimizerState,
@@ -163,20 +169,18 @@ def run_plain_training(
     gradient_fn: GradientFn,
     eval_hooks=(),
     eval_every: int = 0,
-    metrics: list | None = None,
-) -> tuple[np.ndarray, OptimizerState]:
+) -> tuple[np.ndarray, list]:
     """Ordinary single-optimizer loop, one batch per step.
 
     Copies ``theta`` once on entry, then updates the copy and ``state`` in
-    place; returns both.  The optimizer steps the trailing ``state.n``
-    coordinates of the copy, a view, and ``gradient_fn`` (which sees the
-    full vector, as do the hooks) returns a gradient of that length; the
-    coordinates before them are never written.  Full training is the case
-    ``state.n == len(theta)``; head-only training passes a head-sized state.
-    Also serves as the warmup phase of PROFIT training, so a warmup-only run
-    is bit-identical to plain fine-tuning on the same stream.  Hooks run as
-    in ``run_profit_training``; their entries are appended to ``metrics``
-    when it is given.
+    place; returns ``(theta_final, metrics)``.  The optimizer steps the
+    trailing ``state.n`` coordinates of the copy, a view, and ``gradient_fn``
+    (which sees the full vector, as do the hooks) returns a gradient of that
+    length; the coordinates before them are never written.  Full training is
+    the case ``state.n == len(theta)``; head-only training passes a
+    head-sized state.  The same step is the warmup phase of PROFIT training,
+    so a warmup-only run is bit-identical to plain fine-tuning on the same
+    stream.  Hooks run as in ``run_profit_training``.
     """
     n = len(theta)
     if state.n > n:
@@ -185,30 +189,28 @@ def run_plain_training(
             f"theta has only {n}"
         )
     theta = np.array(theta, dtype=np.float64)
-    trained = theta[n - state.n :]
-    if metrics is None:
-        metrics = []
-
-    def update():
-        optim.step(state, trained, gradient_fn(theta, _next_batch(batch_source, 1)))
-
-    _train_loop(theta, update, n_steps, eval_hooks, eval_every, metrics, 0)
-    return theta, state
+    update = _plain_update(theta, state, batch_source, gradient_fn)
+    return theta, _train_loop(theta, [(n_steps, update)], eval_hooks, eval_every)
 
 
-def _train_loop(theta, update, n_steps, eval_hooks, eval_every, metrics, start) -> None:
-    """Call ``update()``, an in-place update of ``theta``, ``n_steps`` times.
+def _train_loop(theta, phases, eval_hooks, eval_every) -> list:
+    """Run ``phases``, ``(n_steps, update)`` pairs in order; ``update()`` writes ``theta`` in place.
 
-    Every ``eval_every`` calls (0: never) the hooks' entry on ``theta``,
-    numbered from ``start``, is appended to ``metrics``.
+    Every ``eval_every`` calls within a phase (0: never) the hooks' entry on
+    ``theta``, numbered from the first phase's start, joins the returned metrics.
     """
-    for i in range(n_steps):
-        update()
-        if eval_every and (i + 1) % eval_every == 0:
-            entry = {"step": start + i + 1}
-            for hook in eval_hooks:
-                entry.update(hook(entry["step"], theta))
-            metrics.append(entry)
+    metrics = []
+    done = 0
+    for n_steps, update in phases:
+        for i in range(1, n_steps + 1):
+            update()
+            if eval_every and i % eval_every == 0:
+                entry = {"step": done + i}
+                for hook in eval_hooks:
+                    entry.update(hook(entry["step"], theta))
+                metrics.append(entry)
+        done += n_steps
+    return metrics
 
 
 def run_profit_training(
@@ -220,7 +222,7 @@ def run_profit_training(
     eval_hooks=(),
     eval_every: int = 0,
 ) -> tuple[np.ndarray, list, list]:
-    """Warmup (if configured) followed by ``n_steps`` PROFIT outer steps.
+    """A plain warmup phase (if configured), then ``n_steps`` PROFIT outer steps.
 
     ``n_steps`` counts main-optimizer updates; the extra reference batches
     are bookkept in the returned traces.  ``eval_hooks`` are callables
@@ -237,27 +239,11 @@ def run_profit_training(
     n = theta0.shape[0]
     main_state = optim.init_state(config.main, n)
     ref_state = optim.init_state(config.reference, n)
+    theta = np.array(theta0, dtype=np.float64)
     traces: list = []
-    metrics: list = []
-
-    theta, main_state = run_plain_training(
-        theta0,
-        main_state,
-        config.warmup_steps,
-        batch_source,
-        gradient_fn,
-        eval_hooks,
-        eval_every,
-        metrics,
-    )
-
-    workspace = profit_workspace(n)
-
-    def update():
-        *_, trace = profit_step(
-            theta, config, main_state, ref_state, batch_source, gradient_fn, workspace
-        )
-        traces.append(trace)
-
-    _train_loop(theta, update, n_steps, eval_hooks, eval_every, metrics, config.warmup_steps)
-    return theta, traces, metrics
+    args = (theta, config, main_state, ref_state, batch_source, gradient_fn, profit_workspace(n))
+    phases = [
+        (config.warmup_steps, _plain_update(theta, main_state, batch_source, gradient_fn)),
+        (n_steps, lambda: traces.append(profit_step(*args)[3])),
+    ]
+    return theta, traces, _train_loop(theta, phases, eval_hooks, eval_every)

@@ -179,6 +179,9 @@ class ExperimentPlan:
             raise ValueError("seeds must be non-empty")
         if min(self.seeds) < 0:
             raise ValueError(f"seeds must be >= 0, got {self.seeds}")
+        repeated = sorted({s for s in self.seeds if self.seeds.count(s) > 1})
+        if repeated:
+            raise ValueError(f"seeds must be distinct, got {repeated} more than once")
         if len(self.dims) < 2 or min(self.dims) < 1:
             raise ValueError(f"dims must be at least 2 widths, each >= 1, got {self.dims}")
         if self.dims[0] != 2 or self.dims[-1] != 1:
@@ -235,8 +238,7 @@ def train(plan, seed: int, strategy: str, theta0, eval_hooks=(), eval_every=0, l
     n = head_block_size(plan.dims) if head_only else mlp.param_count(plan.dims)
     state = optim.init_state(plan.baseline if baseline else plan.finetune, n)
     gradient = mlp_gradient_fn(plan.dims, head_only=head_only, loss_out=loss_out)
-    metrics: list = []
-    theta, _ = run_plain_training(theta0, state, steps, stream, gradient, *hooks, metrics)
+    theta, metrics = run_plain_training(theta0, state, steps, stream, gradient, *hooks)
     return theta, [], metrics, stream_rng
 
 

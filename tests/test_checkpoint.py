@@ -176,6 +176,16 @@ def test_parameter_count_mismatch_is_rejected(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("dims", [(2, 4, 3), (2, 0, 1)], ids=["two-outputs", "empty-layer"])
+def test_dims_the_package_cannot_build_are_rejected(dims, tmp_path):
+    """Unchecked, such a file would score one output column of several, or an empty layer."""
+    path = tmp_path / "m.ckpt"
+    weights = np.random.default_rng(3).standard_normal(param_count(dims))
+    save_checkpoint(path, Checkpoint(dims, weights, rng_state_of(make_rng(0)), 0, ""))
+    with pytest.raises(CheckpointError, match=r"need widths >= 1 and an output width of 1"):
+        load_checkpoint(path)
+
+
 def test_rng_state_is_json_safe():
     import json
 

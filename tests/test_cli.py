@@ -377,6 +377,7 @@ def test_bad_config_exits_one_without_partial_outputs(tmp_path, capsys):
         ("dims", "2,-4,1"),
         ("dims", "2,4,2"),
         ("seeds", "-1"),
+        ("seeds", "1,1"),
         ("original.domain_low", "-inf"),
     ],
 )
@@ -491,6 +492,19 @@ def test_invalid_strategy_flag_exits_one(cfg_path, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(*finetune_args(cfg_path, tmp_path / "x.pfit", tmp_path / "o", "adapter"))
     assert exc.value.code == 1
+
+
+def test_evaluate_rejects_a_checkpoint_with_two_outputs(tmp_path, capsys):
+    wide = tmp_path / "wide.pfit"
+    dims = (2, 4, 3)
+    save_checkpoint(
+        wide, Checkpoint(dims, np.zeros(param_count(dims)), rng_state_of(make_rng(0)), 0, "")
+    )
+    out = tmp_path / "eval"
+    assert run_cli("evaluate", "--checkpoint", wide, "--out-dir", out) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: checkpoint dims (2, 4, 3)")
+    assert not out.exists()
 
 
 def test_evaluate_on_a_digest_flipped_checkpoint_exits_two(trained, tmp_path, capsys):

@@ -236,9 +236,16 @@ def test_shifted_bowl_main_update_protects_the_old_minimum():
 # ------------------------------------------------------- batch accounting
 
 
-@pytest.mark.parametrize("n_ref", [1, 2, 5])
-def test_each_outer_step_consumes_n_ref_plus_one_batches(n_ref):
-    config = ProfitConfig(n_ref=n_ref, main=optim.sgd(0.01), reference=optim.sgd(0.01))
+@pytest.mark.parametrize(
+    "n_ref, warmup",
+    [(1, 0), (2, 0), (5, 0), (1, 3), (2, 3), (5, 3)],
+    ids=["1", "2", "5", "1-warmup3", "2-warmup3", "5-warmup3"],
+)
+def test_each_outer_step_consumes_n_ref_plus_one_batches(n_ref, warmup):
+    """Each warmup step takes one batch, each outer step n_ref + 1."""
+    config = ProfitConfig(
+        n_ref=n_ref, main=optim.sgd(0.01), reference=optim.sgd(0.01), warmup_steps=warmup,
+    )
     consumed = []
 
     def counting_source():
@@ -251,7 +258,7 @@ def test_each_outer_step_consumes_n_ref_plus_one_batches(n_ref):
     )
     assert all(t.batches_consumed == n_ref + 1 for t in traces)
     assert len(traces) == 100
-    assert len(consumed) == 100 * (n_ref + 1)
+    assert len(consumed) == warmup + 100 * (n_ref + 1)
 
 
 def test_exhausted_stream_is_a_hard_error():
@@ -319,21 +326,35 @@ def test_main_accumulators_survive_weight_restoration():
 
 
 def test_warmup_only_run_is_bit_identical_to_plain_training():
+    """W warmup steps and N outer steps equal, bit for bit, W plain steps on a
+    fresh main state, then N profit_step calls that continue that state with a
+    fresh reference state on the same stream; N = 0 is plain training alone."""
     rng = np.random.default_rng(11)
     theta0 = rng.standard_normal(6)
     center = rng.standard_normal(6)
+    shifts = rng.standard_normal((32, 6))  # each batch has its own bowl
+
+    def gradient(theta, batch):
+        return theta - center + shifts[batch]
+
     config = ProfitConfig(
         n_ref=1, main=optim.rmsprop(0.02), reference=optim.sgd(0.01), warmup_steps=5,
     )
-    via_wrapper, traces, _ = run_profit_training(
-        theta0.copy(), config, 0, endless(), bowl_gradient(center),
-    )
-    plain, _ = run_plain_training(
-        theta0.copy(), optim.init_state(config.main, 6), 5, endless(),
-        bowl_gradient(center),
-    )
-    assert traces == []
-    assert np.array_equal(via_wrapper, plain)
+    for n_steps in (0, 4):
+        via_wrapper, traces, _ = run_profit_training(
+            theta0.copy(), config, n_steps, endless(), gradient,
+        )
+        main_state, ref_state = make_states(config, 6)
+        batches = endless()
+        theta, _ = run_plain_training(theta0.copy(), main_state, 5, batches, gradient)
+        expected = []
+        for _ in range(n_steps):
+            theta, main_state, ref_state, trace = profit_step(
+                theta, config, main_state, ref_state, batches, gradient,
+            )
+            expected.append(trace)
+        assert traces == expected
+        assert via_wrapper.tobytes() == theta.tobytes()
 
 
 def test_zero_steps_zero_warmup_returns_start_and_consumes_nothing():
@@ -354,16 +375,17 @@ def test_short_state_steps_only_the_trailing_coordinates():
     theta0 = rng.standard_normal(7)
     before = theta0.tobytes()
     center = rng.standard_normal(3)
-    seen, metrics = [], []
+    seen = []
 
     def tail_bowl(theta, batch):
         seen.append(theta.shape)
         return theta[-3:] - center
 
     spec = optim.rmsprop(0.05)
-    theta, state = run_plain_training(
-        theta0, optim.init_state(spec, 3), 6, endless(), tail_bowl,
-        eval_hooks=((lambda step, th: {"n": th.shape[0]}),), eval_every=2, metrics=metrics,
+    state = optim.init_state(spec, 3)
+    theta, metrics = run_plain_training(
+        theta0, state, 6, endless(), tail_bowl,
+        eval_hooks=((lambda step, th: {"n": th.shape[0]}),), eval_every=2,
     )
     tail, _ = run_plain_training(
         theta0[-3:], optim.init_state(spec, 3), 6, endless(), bowl_gradient(center),

@@ -166,6 +166,8 @@ def test_plan_validation():
         ExperimentPlan(strategies=("full", "frozen"))
     with pytest.raises(ValueError, match="seeds"):
         ExperimentPlan(seeds=())
+    with pytest.raises(ValueError, match=r"seeds must be distinct, got \[0\]"):
+        ExperimentPlan(seeds=(0, 0))
     with pytest.raises(ValueError, match="batch_size"):
         ExperimentPlan(batch_size=0)
     with pytest.raises(ValueError, match="step counts"):
