@@ -108,11 +108,18 @@ def profit_step(
 
     Updates ``theta`` and both optimizer states in place and returns them
     with the step trace.  ``workspace`` comes from ``profit_workspace``; one
-    is allocated for this call when it is omitted.
+    is allocated for this call when it is omitted, and any other shape or
+    dtype is a ``DimensionMismatchError`` before a batch is drawn.
     """
     needed = config.n_ref + 1
+    n = theta.shape[0]
     if workspace is None:
-        workspace = profit_workspace(theta.shape[0])
+        workspace = profit_workspace(n)
+    elif workspace.dtype != np.float64 or workspace.shape != (2, n):
+        raise DimensionMismatchError(
+            f"profit_step: workspace must be float64 of shape (2, {n}), "
+            f"got {workspace.dtype} of shape {workspace.shape}"
+        )
     explored, delta = workspace
 
     # explore with the reference optimizer, away from the saved weights

@@ -5,11 +5,25 @@
 accumulators (``state.buffers``) and its counter ``t``.  The gradient ``g``
 is only read, so it may be a buffer the caller reuses or shares.  The
 temporaries of the update live in scratch vectors that ``init_state``
-allocates once, so a step allocates no parameter-sized array.  The
-operations run in the same order as the textbook formulas, so every bit
-equals what the out-of-place expressions give; identical
-``(state, theta, g)`` inputs give identical bits.  A state belongs to one
-training loop at a time.
+allocates once.  The operations run in the same order as the textbook
+formulas, so every bit equals what the out-of-place expressions give;
+identical ``(state, theta, g)`` inputs give identical bits.  A state belongs
+to one training loop at a time.
+
+A step first marks the coordinates whose gradient or accumulators have a
+nonzero bit pattern.  When fewer than a quarter are marked (an eighth for
+SGD), it gathers them into slices of the scratch vectors, runs the formulas
+there and scatters the weights and accumulators back; otherwise it runs over
+every coordinate.  Dead rectifier units make this the common case of a
+fine-tune, where about 7% of the coordinates are marked.  The gathered step
+is exact: with the gradient and accumulators all +0.0 every update is +0.0,
+RMSProp's flush keeps a +0.0 average at +0.0, and ``w - (+0.0)`` is ``w``
+for every weight.  A -0.0 gradient is not such a fixed point
+(``-0.0 - (-0.0 * lr)`` is +0.0), so the test is on bits, not values.  The
+finite-value guard reads the gathered gradient before anything is written,
+which is equivalent because every entry left out is +0.0.  A step allocates
+no float array of parameter size: the marks are n-byte masks, and a
+gathered step adds an index array of 8 bytes per marked coordinate.
 
 RMSProp stores squared-gradient averages below the smallest normal float
 (``tiny``, about 2.2e-308) as zero.  A weight whose gradient stays exactly
@@ -47,6 +61,10 @@ KINDS = ("sgd", "rmsprop", "adam")
 _TINY = np.finfo(np.float64).tiny
 # (1 - rho) * g * g at or above this absorbs rho * v < _TINY exactly
 _MERGE = 2.0**-969
+# A step gathers the coordinates it can move when fewer than this share of
+# them can.  Measured at n = 252,501: gathering pays below about 1/8 for SGD,
+# whose dense step is three passes, and up to 1/4 for RMSProp and Adam.
+_GATHER_SHARE = {"sgd": 0.125, "rmsprop": 0.25, "adam": 0.25}
 
 
 @dataclass(frozen=True)
@@ -159,24 +177,68 @@ def step(
         raise DimensionMismatchError(
             f"step: state dimension {state.n} vs theta {theta.shape} / gradient {g.shape}"
         )
+    # float64 vectors only: gathered values must fit the scratch and keep their arithmetic
+    idx = _movable(state, g) if g.dtype == theta.dtype == np.float64 else None
+    if idx is None:
+        _check_finite(g)
+        _update(state.spec, state.t, theta, g, state.buffers, state.scratch)
+    else:
+        # k < n / 4 coordinates, so each scratch vector holds four k-slices
+        k = len(idx)
+        slots = iter([s[j * k : (j + 1) * k] for s in state.scratch for j in range(4)])
+
+        def gather(x):
+            return np.take(x, idx, out=next(slots), mode="clip")
+
+        gs = gather(g)
+        _check_finite(gs)  # every entry left out is +0.0
+        ts = gather(theta)
+        buffers = {name: gather(b) for name, b in state.buffers.items()}
+        _update(state.spec, state.t, ts, gs, buffers, tuple(next(slots) for _ in state.scratch))
+        theta[idx] = ts
+        for name, b in state.buffers.items():
+            b[idx] = buffers[name]
+    state.t += 1
+    return theta, state
+
+
+def _movable(state: OptimizerState, g: np.ndarray) -> np.ndarray | None:
+    """Indices of the coordinates ``step`` can move, or None when too many can to gather them.
+
+    Marked are the coordinates whose gradient or an accumulator has a
+    nonzero bit pattern; the others are fixed points of the update.
+    """
+    limit = _GATHER_SHARE[state.spec.kind] * state.n
+    marked = np.zeros(state.n, dtype=bool)
+    # accumulators first: a baseline's cover most coordinates, its gradient far fewer
+    for x in (*state.buffers.values(), g):
+        marked |= x.view(np.uint64) != 0
+        if np.count_nonzero(marked) >= limit:
+            return None
+    return np.flatnonzero(marked)
+
+
+def _check_finite(g: np.ndarray) -> None:
     # a sum of squares is finite only if every entry is; scan when it overflows
     with np.errstate(over="ignore"):
         sum_sq = np.dot(g, g)
     if not math.isfinite(sum_sq) and not np.isfinite(g).all():
         raise NonFiniteError("step: gradient contains NaN or Inf")
 
-    spec = state.spec
-    lr = spec.rate_at(state.t)
+
+def _update(spec: OptimizerSpec, t: int, theta, g, buffers: dict, scratch: tuple) -> None:
+    """Update ``t`` (0-indexed) of ``spec`` in place on aligned vectors of any one length."""
+    lr = spec.rate_at(t)
     # one rounding per line, in the order of the formula in the comment above
     if spec.kind == "sgd":
         # theta - g * lr
-        (update,) = state.scratch
+        (update,) = scratch
         np.multiply(g, lr, out=update)
     elif spec.kind == "rmsprop":
         # v = rho * v + (1 - rho) * g * g, subnormal entries then zeroed
         # theta - lr * g / (sqrt(v) + eps)
-        c, update = state.scratch
-        v = state.buffers["v"]
+        c, update = scratch
+        v = buffers["v"]
         np.multiply(g, 1.0 - spec.rho, out=c)
         c *= g
         v *= spec.rho
@@ -190,9 +252,9 @@ def step(
     else:  # adam, bias-corrected
         # m = beta1 * m + (1 - beta1) * g;  v = beta2 * v + (1 - beta2) * g * g
         # theta - lr * (m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + eps)
-        update, denom = state.scratch
-        m, v = state.buffers["m"], state.buffers["v"]
-        t = state.t + 1
+        update, denom = scratch
+        m, v = buffers["m"], buffers["v"]
+        t += 1
         m *= spec.beta1
         np.multiply(g, 1.0 - spec.beta1, out=update)
         m += update
@@ -207,5 +269,3 @@ def step(
         denom += spec.epsilon
         update /= denom
     theta -= update
-    state.t += 1
-    return theta, state

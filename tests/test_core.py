@@ -484,6 +484,24 @@ def test_nonfinite_displacement_is_rejected():
         )
 
 
+@pytest.mark.parametrize(
+    "shape, dtype",
+    [((2, 3), np.float64), ((3, 4), np.float64), ((2, 4), np.float32)],
+    ids=["short", "three-rows", "float32"],
+)
+def test_workspace_of_another_shape_or_dtype_is_rejected_before_any_batch(shape, dtype):
+    config = sgd_config()
+    main_state, ref_state = make_states(config, 4)
+    batches = iter(range(5))
+    expected = r"workspace must be float64 of shape \(2, 4\)"
+    with pytest.raises(DimensionMismatchError, match=expected):
+        profit_step(
+            np.zeros(4), config, main_state, ref_state, batches,
+            constant_gradient(np.ones(4)), np.empty(shape, dtype=dtype),
+        )
+    assert next(batches) == 0  # the stream was not touched
+
+
 # ------------------------------------------------------------ full width
 
 # a short 500-wide pipeline: every step runs the production-size vectors
@@ -582,12 +600,21 @@ def test_full_width_pipeline_equals_the_out_of_place_formulas():
         assert any(t.projected for t in traces)  # the projection ran at full width
 
 
-def test_full_width_profit_step_allocates_under_two_parameter_vectors():
+@pytest.mark.parametrize(
+    "start, gathered", [("init", False), ("baseline", True)], ids=["init", "baseline"]
+)
+def test_full_width_profit_step_allocates_under_two_parameter_vectors(start, gathered, monkeypatch):
     """After one warm-up outer step, a 500-wide step's traced peak stays below
-    two parameter vectors: the batch's activations, and no parameter copy."""
+    two parameter vectors: the batch's activations, and no parameter copy.
+    From a trained baseline few coordinates can move, and the optimizer steps
+    gather them into their scratch vectors, allocating index arrays and
+    n-byte masks only."""
     plan = toy.ExperimentPlan()
     config = plan.profit_config()
-    theta = mlp.flatten(mlp.init_model(plan.dims, toy.make_rng(0, toy.STREAM_INIT)))
+    if start == "init":
+        theta = mlp.flatten(mlp.init_model(plan.dims, toy.make_rng(0, toy.STREAM_INIT)))
+    else:
+        theta = mlp.flatten(toy.train_baseline(replace(plan, baseline_steps=150), 0))
     n = theta.shape[0]
     main_state, ref_state = make_states(config, n)
     workspace = profit_workspace(n)
@@ -595,6 +622,15 @@ def test_full_width_profit_step_allocates_under_two_parameter_vectors():
     gradient = toy.mlp_gradient_fn(plan.dims)
     args = (theta, config, main_state, ref_state, batches, gradient, workspace)
     profit_step(*args)  # warm-up
+    paths = []
+    movable = optim._movable
+
+    def spy(state, g):
+        idx = movable(state, g)
+        paths.append(idx is not None)
+        return idx
+
+    monkeypatch.setattr(optim, "_movable", spy)
     tracemalloc.start()
     try:
         profit_step(*args)
@@ -602,3 +638,4 @@ def test_full_width_profit_step_allocates_under_two_parameter_vectors():
     finally:
         tracemalloc.stop()
     assert peak < 2 * theta.nbytes, f"peak {peak} bytes against {2 * theta.nbytes}"
+    assert paths == [gathered, gathered]  # the reference step, then the main step

@@ -239,20 +239,34 @@ def test_step_is_deterministic_on_copies_of_the_same_inputs():
             assert state1.buffers[k].tobytes() == state2.buffers[k].tobytes()
 
 
+def sparse(n, entries):
+    """An n-vector of +0.0 with ``entries`` ({index: value}) set."""
+    x = np.zeros(n)
+    for i, value in entries.items():
+        x[i] = value
+    return x
+
+
 def test_step_rejects_nonfinite_gradient():
-    """The check runs before any write: theta and the state are left as they were."""
-    for spec in SPECS:
-        for bad in (np.nan, np.inf, -np.inf):
-            state = init_state(spec, 2)
-            theta = vec(0.5, -0.5)
-            step(state, theta, vec(1.0, 2.0))
-            theta_before = theta.copy()
-            buffers_before = {k: v.copy() for k, v in state.buffers.items()}
-            with pytest.raises(NonFiniteError, match="step: gradient contains NaN or Inf"):
-                step(state, theta, vec(1.0, bad))
-            assert theta.tobytes() == theta_before.tobytes() and state.t == 1
-            for k, v in state.buffers.items():
-                assert v.tobytes() == buffers_before[k].tobytes()
+    """The check runs before any write: theta and the state are left as they
+    were, also when the step gathers the few coordinates that can move."""
+    for warm, bad_at, gathered in ((vec(1.0, 2.0), 1, False), (sparse(32, {3: 1.0}), 7, True)):
+        n = len(warm)
+        for spec in SPECS:
+            for bad in (np.nan, np.inf, -np.inf):
+                state = init_state(spec, n)
+                theta = np.linspace(-0.5, 0.5, n)
+                step(state, theta, warm)
+                g = warm.copy()
+                g[bad_at] = bad
+                assert (optim._movable(state, g) is not None) == gathered
+                theta_before = theta.copy()
+                buffers_before = {k: v.copy() for k, v in state.buffers.items()}
+                with pytest.raises(NonFiniteError, match="step: gradient contains NaN or Inf"):
+                    step(state, theta, g)
+                assert theta.tobytes() == theta_before.tobytes() and state.t == 1
+                for k, v in state.buffers.items():
+                    assert v.tobytes() == buffers_before[k].tobytes()
 
 
 def test_step_accepts_a_finite_gradient_whose_square_sum_overflows():
@@ -260,6 +274,44 @@ def test_step_accepts_a_finite_gradient_whose_square_sum_overflows():
     g = vec(1e200, -1e200)
     theta, _ = step(init_state(sgd(1e-200), 2), vec(0.0, 0.0), g)
     assert theta.tobytes() == (vec(0.0, 0.0) - g * 1e-200).tobytes()
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.kind)
+def test_negative_zero_weight_and_gradient_give_positive_zero(spec):
+    """``-0.0 - (-0.0 * lr)`` is +0.0: a -0.0 gradient can move a -0.0 weight,
+    so the step tells it from +0.0 by its bits, also among mostly zero
+    gradients.  Adam's first moment holds -0.0 there too, as a negative
+    moment that underflowed would; from +0.0 it would absorb the sign."""
+    g = sparse(32, {0: -0.0, 9: 1.5})
+    theta = sparse(32, {0: -0.0, 9: 0.25})
+    state = init_state(spec, 32)
+    buffers = zero_buffers(spec, 32)
+    if spec.kind == "adam":
+        state.buffers["m"][0] = buffers["m"][0] = -0.0
+    assert optim._movable(state, g) is not None
+    expected, _ = pure_step(spec, 0, buffers, theta, g)
+    step(state, theta, g)
+    assert theta.tobytes() == expected.tobytes()
+    assert theta[0] == 0.0 and not np.signbit(theta[0])
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.kind)
+@pytest.mark.parametrize(
+    "g_dtype, theta_dtype", [(np.float32, np.float64), (np.float64, np.float32)]
+)
+def test_step_accepts_float32_gradients_and_weights(spec, g_dtype, theta_dtype):
+    """float32 keeps its arithmetic (``g * lr`` rounds to float32): a mostly
+    zero gradient moves each weight as the same coordinates do inside a
+    gradient with no zeros, where every coordinate is stepped."""
+    g = sparse(32, {2: 0.1, 11: -3.0}).astype(g_dtype)
+    theta = np.linspace(-1.0, 1.0, 32).astype(theta_dtype)
+    theta0 = theta.copy()
+    padded_g = np.concatenate([g, np.full(96, 0.5, dtype=g_dtype)])
+    padded = np.concatenate([theta, np.ones(96, dtype=theta_dtype)])
+    step(init_state(spec, 32), theta, g)
+    step(init_state(spec, 128), padded, padded_g)
+    assert theta.tobytes() == padded[:32].tobytes()
+    assert np.flatnonzero(theta != theta0).tolist() == [2, 11]
 
 
 def test_step_rejects_dimension_mismatch():
@@ -342,9 +394,9 @@ def test_rmsprop_keeps_subnormals_when_epsilon_cannot_swamp_them():
 # ------------------------------------------- in place vs the formulas
 
 # accumulator seeds reach RMSProp's flush at once: subnormal, tiny and normal
-SEED_VALUES = st.sampled_from([0.0, 5e-324, 1e-310, TINY, 1e-300, 1e-3, 1.0])
+SEED_VALUES = st.sampled_from([0.0, -0.0, 5e-324, 1e-310, TINY, 1e-300, 1e-3, 1.0])
 GRADIENT_VALUES = st.one_of(
-    st.just(0.0),
+    st.sampled_from([0.0, -0.0]),
     st.sampled_from([1e-160, -1e-150, 1e-145]),
     st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False),
 )
@@ -365,19 +417,38 @@ def optimizer_specs(draw):
     )
 
 
+def draw_vector(data, n, values, mostly_zero):
+    """n entries from ``values``; when ``mostly_zero``, all but fewer than n / 8 are +-0.0."""
+    x = data.draw(arrays(np.float64, n, elements=values))
+    if mostly_zero:
+        zeros = data.draw(arrays(np.float64, n, elements=st.sampled_from([0.0, -0.0])))
+        kept = list(data.draw(st.sets(st.integers(0, n - 1), max_size=(n - 1) // 8)))
+        zeros[kept] = x[kept]
+        x = zeros
+    return x
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(spec=optimizer_specs(), n=st.integers(1, 24), n_steps=st.integers(1, 6), data=st.data())
-def test_step_equals_the_out_of_place_formulas(spec, n, n_steps, data):
-    """Every bit of theta and of the accumulators matches the formulas, step by step."""
+@given(
+    spec=optimizer_specs(),
+    n=st.integers(1, 24),
+    n_steps=st.integers(1, 6),
+    mostly_zero=st.booleans(),
+    data=st.data(),
+)
+def test_step_equals_the_out_of_place_formulas(spec, n, n_steps, mostly_zero, data):
+    """Every bit of theta and of the accumulators matches the formulas, step by
+    step.  Mostly zero gradients and accumulators take the gathered step, and
+    accumulators that outgrow the gathering share take the dense one."""
     theta = data.draw(arrays(np.float64, n, elements=st.floats(-10.0, 10.0)))
     state = init_state(spec, n)
     buffers = zero_buffers(spec, n)
     for k in buffers:
-        buffers[k][:] = data.draw(arrays(np.float64, n, elements=SEED_VALUES))
+        buffers[k][:] = draw_vector(data, n, SEED_VALUES, mostly_zero)
         state.buffers[k][:] = buffers[k]
     ref = theta.copy()
     for t in range(n_steps):
-        g = data.draw(arrays(np.float64, n, elements=GRADIENT_VALUES))
+        g = draw_vector(data, n, GRADIENT_VALUES, mostly_zero)
         g_before = g.copy()
         ref, buffers = pure_step(spec, t, buffers, ref, g)
         step(state, theta, g)
