@@ -138,8 +138,10 @@ def load_checkpoint(path) -> Checkpoint:
     if k < 2:
         raise CheckpointError(f"dim chain needs at least 2 entries, got {k}")
     dims = struct.unpack(f"<{k}I", r.take(4 * k, "dims"))
-    if min(dims) < 1 or dims[-1] != 1:
-        raise CheckpointError(f"checkpoint dims {dims} need widths >= 1 and an output width of 1")
+    if min(dims) < 1 or dims[0] != 2 or dims[-1] != 1:
+        raise CheckpointError(
+            f"checkpoint dims {dims} need widths >= 1, an input width of 2 and an output width of 1"
+        )
     n = r.u64("parameter count")
     if n != param_count(dims):
         raise CheckpointError(

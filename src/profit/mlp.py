@@ -95,16 +95,38 @@ def init_model(dims, rng: np.random.Generator) -> MlpModel:
     return MlpModel(tuple(weights), biases)
 
 
+# Rows per block of ``forward``: 24 * 210, a whole number of OpenBLAS's
+# SkylakeX 24-row tiles, and large enough that no width tried falls to its
+# small-matrix kernel in a grid block where the whole grid does not.  Smaller
+# blocks lost the one-pass bits: 2,016 rows at widths 17-20, 199, 206, 213,
+# 220 and 255, and every power of two from 16 to 2,048 rows at 500 wide.
+_BLOCK_ROWS = 5040
+
+
 def forward(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
-    """Predictions for a (B, d_in) input array, as a (B,) vector."""
+    """Predictions for a (B, d_in) input array, as a (B,) vector.
+
+    Rows go through in blocks of ``_BLOCK_ROWS``, so a 10,000-point grid
+    (5,040 + 4,960 rows) holds half the activations of one pass.  A block's
+    rows can differ from one whole-input pass only in its last partial 24-row
+    tile, or in a layer that takes OpenBLAS's small-matrix kernel (rows *
+    fan_in * fan_out <= 10**6) in the block but not in the whole input.
+    Blocks start on tile edges, and on both grids every width tried (2-w-w-1
+    for w in 1-79, 80-695 in steps of 7, 250, 256, 500, 512 and 1,000) gave
+    the one-pass bits on OpenBLAS 0.3.31 (SkylakeX kernels, one thread).
+    Inputs of up to 5,040 rows, every training batch among them, are one block.
+    """
     _check_inputs(model, inputs)
-    h = inputs
+    out = np.empty(len(inputs))
     last = len(model.weights) - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = h @ w
-        z += b
-        h = np.maximum(z, 0.0, out=z) if i < last else z
-    return h[:, 0]
+    for start in range(0, len(inputs), _BLOCK_ROWS):
+        h = inputs[start : start + _BLOCK_ROWS]
+        for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+            z = h @ w
+            z += b
+            h = np.maximum(z, 0.0, out=z) if i < last else z
+        out[start : start + len(h)] = h[:, 0]
+    return out
 
 
 def _check_inputs(model: MlpModel, inputs: np.ndarray) -> None:

@@ -176,13 +176,17 @@ def test_parameter_count_mismatch_is_rejected(tmp_path):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("dims", [(2, 4, 3), (2, 0, 1)], ids=["two-outputs", "empty-layer"])
+@pytest.mark.parametrize(
+    "dims", [(2, 4, 3), (2, 0, 1), (3, 4, 1)], ids=["two-outputs", "empty-layer", "three-inputs"]
+)
 def test_dims_the_package_cannot_build_are_rejected(dims, tmp_path):
-    """Unchecked, such a file would score one output column of several, or an empty layer."""
+    """Unchecked, such a file would score one output column of several, an empty
+    layer, or a model that cannot take the 2-D grid points."""
     path = tmp_path / "m.ckpt"
     weights = np.random.default_rng(3).standard_normal(param_count(dims))
     save_checkpoint(path, Checkpoint(dims, weights, rng_state_of(make_rng(0)), 0, ""))
-    with pytest.raises(CheckpointError, match=r"need widths >= 1 and an output width of 1"):
+    needs = r"need widths >= 1, an input width of 2 and an output width of 1"
+    with pytest.raises(CheckpointError, match=needs):
         load_checkpoint(path)
 
 

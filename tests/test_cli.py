@@ -494,16 +494,16 @@ def test_invalid_strategy_flag_exits_one(cfg_path, tmp_path, capsys):
     assert exc.value.code == 1
 
 
-def test_evaluate_rejects_a_checkpoint_with_two_outputs(tmp_path, capsys):
-    wide = tmp_path / "wide.pfit"
-    dims = (2, 4, 3)
+@pytest.mark.parametrize("dims", [(2, 4, 3), (3, 4, 1)], ids=["two-outputs", "three-inputs"])
+def test_evaluate_rejects_a_checkpoint_the_package_cannot_build(dims, tmp_path, capsys):
+    path = tmp_path / "m.pfit"
     save_checkpoint(
-        wide, Checkpoint(dims, np.zeros(param_count(dims)), rng_state_of(make_rng(0)), 0, "")
+        path, Checkpoint(dims, np.zeros(param_count(dims)), rng_state_of(make_rng(0)), 0, "")
     )
     out = tmp_path / "eval"
-    assert run_cli("evaluate", "--checkpoint", wide, "--out-dir", out) == 2
+    assert run_cli("evaluate", "--checkpoint", path, "--out-dir", out) == 2
     lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: checkpoint dims (2, 4, 3)")
+    assert len(lines) == 1 and lines[0].startswith(f"error: checkpoint dims {dims}")
     assert not out.exists()
 
 

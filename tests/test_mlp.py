@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from profit import toy
 from profit.errors import DimensionMismatchError, NonFiniteError
 from profit.mlp import (
     LAYER_DIMS,
@@ -107,6 +108,54 @@ def test_forward_output_affine_in_head_weights():
         biases=model.biases[:-1] + (2.0 * model.biases[-1],),
     )
     assert np.allclose(forward(doubled, x), 2.0 * base, rtol=1e-14, atol=0.0)
+
+
+def one_call_chain(model, inputs):
+    """The layers over all rows at once: one product per layer, then bias, then rectifier."""
+    h = inputs
+    last = len(model.weights) - 1
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = h @ w
+        z += b
+        h = np.maximum(z, 0.0, out=z) if i < last else z
+    return h[:, 0]
+
+
+def short_baseline() -> MlpModel:
+    plan = toy.ExperimentPlan(baseline_steps=30, finetune_steps=1, seeds=(0,))
+    return toy.train_baseline(plan, 0)
+
+
+# 2-32-32-1 is the golden plan, 2-8-8-1 and 2-6-5-1 the CLI's.  In blocks of
+# 2,016 rows, widths 18-20, 199 and 255 lose the one-pass bits (a layer takes
+# OpenBLAS's small-matrix kernel), 51 does in blocks of 512 rows and 100 in
+# blocks of 256; at 5,040 rows, 11 and 14 cross that kernel's cutoff and must
+# still agree.
+GRID_DIMS = [(2, 32, 32, 1), (2, 8, 8, 1), (2, 6, 5, 1)] + [
+    (2, w, w, 1) for w in (11, 14, 18, 19, 20, 51, 100, 199, 255)
+]
+
+
+@pytest.mark.parametrize(
+    "make_model",
+    [lambda: init_model(LAYER_DIMS, np.random.default_rng(0)), short_baseline]
+    + [lambda dims=dims: init_model(dims, np.random.default_rng(2)) for dims in GRID_DIMS],
+    ids=["500-wide-init", "500-wide-baseline"] + ["-".join(map(str, d)) for d in GRID_DIMS],
+)
+def test_forward_on_both_grids_equals_the_one_call_chain_bit_for_bit(make_model):
+    """The grid goes through in blocks of 5,040 and 4,960 rows, with the bits of one pass."""
+    model = make_model()
+    for domain in (toy.ORIGINAL_DOMAIN, toy.NEW_DOMAIN):
+        grid = toy.evaluation_grid(domain)
+        expected = one_call_chain(model, grid)
+        assert forward(model, grid).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 128, 5_040])
+def test_forward_of_up_to_one_block_is_the_one_call_chain(rows):
+    model = init_model(LAYER_DIMS, np.random.default_rng(4))
+    x = np.random.default_rng(rows).uniform(-1.0, 1.0, size=(rows, 2))
+    assert forward(model, x).tobytes() == one_call_chain(model, x).tobytes()
 
 
 # ---------------------------------------------------------------- loss

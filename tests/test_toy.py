@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,6 +149,20 @@ def test_zero_model_grid_errors_match_frozen_values():
         0.48814119117337257, abs=1e-15
     )
     assert evaluate_error(model, NEW_DOMAIN) == pytest.approx(0.5058618407081682, abs=1e-15)
+
+
+def test_full_width_grid_error_peaks_at_one_row_block():
+    """One 500-wide grid score holds one 5,040-row block's two activations
+    (about 40 MB traced), not the whole grid's (80 MB)."""
+    model = init_model(LAYER_DIMS, make_rng(0, 0))
+    evaluate_error(model, ORIGINAL_DOMAIN)  # warm-up
+    tracemalloc.start()
+    try:
+        evaluate_error(model, ORIGINAL_DOMAIN)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 45e6, f"peak {peak} bytes"
 
 
 # ------------------------------------------------------------ head block
