@@ -8,6 +8,13 @@ different last bits at 1 and at 2 threads.  PROFIT's sign gate
 ``OPENBLAS_NUM_THREADS`` says, which makes every result independent of the
 environment's thread setting and saves the worker threads' CPU.
 
+``mlp.forward`` still uses a second CPU, from one Python worker thread that
+runs half of a large grid product's rows as its own single-thread BLAS call.
+Each output row is then summed by one thread in the order of the unsplit
+call, so the bits stay those of one thread (the cut rules are in
+``mlp.forward``).  Between parts that worker blocks on a lock and uses no
+CPU, where OpenBLAS's own threads spin waiting for their next product.
+
 The setter is looked up through numpy's own extension module, whose handle
 also resolves the symbols of the OpenBLAS it links (the ``scipy_openblas``
 build bundled with numpy wheels, or a system OpenBLAS).  A BLAS that exports
@@ -56,3 +63,12 @@ def thread_count() -> int | None:
         return None
     getter.argtypes, getter.restype = [], ctypes.c_int
     return getter()
+
+
+def core_name() -> str | None:
+    """The kernel family numpy's OpenBLAS runs, such as ``SkylakeX``; None for another BLAS."""
+    getter = _symbol("get_corename")
+    if getter is None:
+        return None
+    getter.argtypes, getter.restype = [], ctypes.c_char_p
+    return getter().decode()

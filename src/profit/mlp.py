@@ -17,10 +17,13 @@ layer's weights and bias are the trailing ``head_block_size(dims)`` entries,
 the block that head-only training works on alone.
 """
 
+import os
+from concurrent import futures
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import blas
 from .errors import DimensionMismatchError, NonFiniteError
 
 LAYER_DIMS = (2, 500, 500, 1)
@@ -101,6 +104,10 @@ def init_model(dims, rng: np.random.Generator) -> MlpModel:
 # blocks lost the one-pass bits: 2,016 rows at widths 17-20, 199, 206, 213,
 # 220 and 255, and every power of two from 16 to 2,048 rows at 500 wide.
 _BLOCK_ROWS = 5040
+_TILE_ROWS = 24
+# OpenBLAS's small-matrix kernel takes products of rows * fan_in * fan_out at
+# or below this; a layer runs as two row parts only when both parts stay above.
+_SMALL_PRODUCT = 10**6
 
 
 def forward(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
@@ -115,18 +122,68 @@ def forward(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
     for w in 1-79, 80-695 in steps of 7, 250, 256, 500, 512 and 1,000) gave
     the one-pass bits on OpenBLAS 0.3.31 (SkylakeX kernels, one thread).
     Inputs of up to 5,040 rows, every training batch among them, are one block.
+
+    When this process may run on two CPUs and the BLAS runs one thread, a
+    block's layer whose two parts both stay above that cutoff runs rows
+    ``[:cut]`` on the calling thread and ``[cut:]`` on one worker thread, at
+    the 24-row tile edge at or below the block's middle (2,520 of 5,040).
+    Each part then sums its rows as the unsplit call does: every 24-row cut
+    of 5,040- and 4,960-row products at 500 wide gave that call's bits on the
+    same build.  ``backward`` never splits.
     """
     _check_inputs(model, inputs)
     out = np.empty(len(inputs))
+    split = _two_cpus_one_blas_thread()
     last = len(model.weights) - 1
     for start in range(0, len(inputs), _BLOCK_ROWS):
         h = inputs[start : start + _BLOCK_ROWS]
+        cut = len(h) // (2 * _TILE_ROWS) * _TILE_ROWS
         for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-            z = h @ w
-            z += b
-            h = np.maximum(z, 0.0, out=z) if i < last else z
+            z = np.empty((len(h), w.shape[1]))
+            if split and cut * w.size > _SMALL_PRODUCT:
+                _layer_in_two_parts(h, w, b, z, i < last, cut)
+            else:
+                _layer(h, w, b, z, i < last)
+            h = z
         out[start : start + len(h)] = h[:, 0]
     return out
+
+
+def _two_cpus_one_blas_thread() -> bool:
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+    return len(cpus) >= 2 and blas.thread_count() == 1
+
+
+def _layer(h, w, b, z, rectify) -> None:
+    """One dense layer into ``z``: product, bias, then the rectifier if asked."""
+    np.matmul(h, w, out=z)
+    z += b
+    if rectify:
+        np.maximum(z, 0.0, out=z)
+
+
+def _layer_in_two_parts(h, w, b, z, rectify, cut) -> None:
+    """``_layer`` with rows ``[cut:]`` on the worker thread; waits for both parts."""
+    part = _worker.submit(_layer, h[cut:], w, b, z[cut:], rectify)
+    try:
+        _layer(h[:cut], w, b, z[:cut], rectify)
+    finally:
+        futures.wait((part,))  # the worker writes into z: never leave it running
+    part.result()
+
+
+def _new_worker() -> None:
+    """A new executor for the second parts; its thread starts on first use.
+
+    A forked child needs one: its copy of the parent's has no thread to run them.
+    """
+    global _worker
+    _worker = futures.ThreadPoolExecutor(1, thread_name_prefix="profit-forward")
+
+
+_new_worker()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_worker)
 
 
 def _check_inputs(model: MlpModel, inputs: np.ndarray) -> None:

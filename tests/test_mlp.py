@@ -1,9 +1,14 @@
 """Network forward/backward correctness against hand and finite-difference oracles."""
 
+import os
+import signal
+import threading
+import time
+
 import numpy as np
 import pytest
 
-from profit import toy
+from profit import mlp, toy
 from profit.errors import DimensionMismatchError, NonFiniteError
 from profit.mlp import (
     LAYER_DIMS,
@@ -156,6 +161,120 @@ def test_forward_of_up_to_one_block_is_the_one_call_chain(rows):
     model = init_model(LAYER_DIMS, np.random.default_rng(4))
     x = np.random.default_rng(rows).uniform(-1.0, 1.0, size=(rows, 2))
     assert forward(model, x).tobytes() == one_call_chain(model, x).tobytes()
+
+
+def forward_on(split: bool, monkeypatch, model, inputs) -> np.ndarray:
+    """``forward`` with its two-thread layers forced on or off."""
+    monkeypatch.setattr(mlp, "_two_cpus_one_blas_thread", lambda: split)
+    return forward(model, inputs)
+
+
+def worker_layer_calls(monkeypatch) -> list:
+    """Wrap ``mlp._layer``; returns the growing list of rows it ran off the main thread."""
+    calls, layer = [], mlp._layer
+
+    def recorded(h, *args):
+        if threading.current_thread() is not threading.main_thread():
+            calls.append(len(h))
+        layer(h, *args)
+
+    monkeypatch.setattr(mlp, "_layer", recorded)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "make_model",
+    [lambda: init_model(LAYER_DIMS, np.random.default_rng(0)), short_baseline],
+    ids=["500-wide-init", "500-wide-baseline"],
+)
+def test_two_thread_forward_of_both_grids_equals_one_thread(make_model, monkeypatch):
+    """Each block's three layers run as two row parts (2,520 + 2,520 and 2,472 +
+    2,488 rows), with the bytes of the one-thread path."""
+    model = make_model()
+    worker_rows = worker_layer_calls(monkeypatch)
+    for domain in (toy.ORIGINAL_DOMAIN, toy.NEW_DOMAIN):
+        grid = toy.evaluation_grid(domain)
+        expected = forward_on(False, monkeypatch, model, grid)
+        worker_rows.clear()
+        assert forward_on(True, monkeypatch, model, grid).tobytes() == expected.tobytes()
+        assert worker_rows == [2_520] * 3 + [2_488] * 3
+
+
+@pytest.mark.parametrize("rows", [5_041, 7_000, 20_000])
+def test_two_thread_forward_equals_one_thread_on_other_row_counts(rows, monkeypatch):
+    """Tail blocks of 1 and 1,960 rows: layers whose parts would fall to the
+    small-matrix kernel stay one call, the rest split with unchanged bytes."""
+    model = init_model(LAYER_DIMS, np.random.default_rng(5))
+    x = np.random.default_rng(rows).uniform(-1.0, 1.0, size=(rows, 2))
+    expected = forward_on(False, monkeypatch, model, x)
+    assert forward_on(True, monkeypatch, model, x).tobytes() == expected.tobytes()
+
+
+def test_an_error_in_the_worker_part_propagates_and_forward_still_works(monkeypatch):
+    model = init_model(LAYER_DIMS, np.random.default_rng(6))
+    grid = toy.evaluation_grid(toy.ORIGINAL_DOMAIN)
+    expected = forward_on(True, monkeypatch, model, grid)
+    layer = mlp._layer
+
+    def failing_off_main(h, *args):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("worker part failed")
+        layer(h, *args)
+
+    monkeypatch.setattr(mlp, "_layer", failing_off_main)
+    with pytest.raises(RuntimeError, match="worker part failed"):
+        forward(model, grid)
+    monkeypatch.setattr(mlp, "_layer", layer)
+    assert forward(model, grid).tobytes() == expected.tobytes()
+
+
+def test_an_error_in_the_calling_part_waits_for_the_worker_part(monkeypatch):
+    """The worker writes into the layer's output, so forward never returns or
+    raises while the worker's part still runs."""
+    model = init_model(LAYER_DIMS, np.random.default_rng(7))
+    grid = toy.evaluation_grid(toy.ORIGINAL_DOMAIN)
+    finished, layer = [], mlp._layer
+
+    def slow_worker_failing_caller(h, *args):
+        if threading.current_thread() is threading.main_thread():
+            raise RuntimeError("calling part failed")
+        time.sleep(0.2)
+        layer(h, *args)
+        finished.append(len(h))
+
+    monkeypatch.setattr(mlp, "_layer", slow_worker_failing_caller)
+    with pytest.raises(RuntimeError, match="calling part failed"):
+        forward_on(True, monkeypatch, model, grid)
+    assert finished == [2_520]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+def test_a_child_forked_after_a_two_thread_forward_forwards_the_same_bits(
+    tmp_path, monkeypatch
+):
+    """The worker thread does not survive a fork; the child makes its own."""
+    model = init_model(LAYER_DIMS, np.random.default_rng(8))
+    grid = toy.evaluation_grid(toy.NEW_DOMAIN)
+    expected = forward_on(True, monkeypatch, model, grid)
+    assert "profit-forward" in " ".join(t.name for t in threading.enumerate())
+    path = tmp_path / "child.bin"
+    pid = os.fork()
+    if pid == 0:  # child: never return into pytest
+        status = 1
+        try:
+            path.write_bytes(forward(model, grid).tobytes())
+            status = 0
+        finally:
+            os._exit(status)
+    deadline = time.monotonic() + 60.0
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child hung in forward")
+    assert os.waitstatus_to_exitcode(done[1]) == 0
+    assert path.read_bytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------- loss
