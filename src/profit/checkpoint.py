@@ -63,8 +63,10 @@ class Checkpoint:
                 f"weights shape {self.weights.shape} does not match dims {tuple(self.dims)} "
                 f"(expected ({n},))"
             )
-        if self.step_count < 0:
-            raise CheckpointError(f"step_count must be >= 0, got {self.step_count}")
+        if not 0 <= self.step_count < 2**64:
+            raise CheckpointError(
+                f"step_count must be >= 0 and < 2**64 (the format's u64), got {self.step_count}"
+            )
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:

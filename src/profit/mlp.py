@@ -106,7 +106,7 @@ def init_model(dims, rng: np.random.Generator) -> MlpModel:
 _BLOCK_ROWS = 5040
 _TILE_ROWS = 24
 # OpenBLAS's small-matrix kernel takes products of rows * fan_in * fan_out at
-# or below this; a layer runs as two row parts only when both parts stay above.
+# or below this; a block splits only when every layer's half stays above it.
 _SMALL_PRODUCT = 10**6
 
 
@@ -123,29 +123,33 @@ def forward(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
     the one-pass bits on OpenBLAS 0.3.31 (SkylakeX kernels, one thread).
     Inputs of up to 5,040 rows, every training batch among them, are one block.
 
-    When this process may run on two CPUs and the BLAS runs one thread, a
-    block's layer whose two parts both stay above that cutoff runs rows
-    ``[:cut]`` on the calling thread and ``[cut:]`` on one worker thread, at
-    the 24-row tile edge at or below the block's middle (2,520 of 5,040).
-    Each part then sums its rows as the unsplit call does: every 24-row cut
-    of 5,040- and 4,960-row products at 500 wide gave that call's bits on the
-    same build.  ``backward`` never splits.
+    A block may run as two row halves at once, cut at the 24-row tile edge at
+    or below its middle (2,520 of 5,040, 2,472 of 4,960).  It does when this
+    process may run on two CPUs, the BLAS runs one thread, and every layer's
+    ``cut * fan_in * fan_out`` is above the small-matrix cutoff.  Then rows
+    ``[cut:]`` go through the whole layer chain on a worker thread that lives
+    for this block alone, while the calling thread runs rows ``[:cut]``;
+    leaving the executor's ``with`` waits for the worker, also when the
+    calling half raises.  Each half sums its rows as the unsplit call does:
+    every 24-row cut of 5,040- and 4,960-row products at 500 wide gave that
+    call's bits on the same build.  ``backward`` never splits.
     """
     _check_inputs(model, inputs)
     out = np.empty(len(inputs))
     split = _two_cpus_one_blas_thread()
-    last = len(model.weights) - 1
     for start in range(0, len(inputs), _BLOCK_ROWS):
-        h = inputs[start : start + _BLOCK_ROWS]
-        cut = len(h) // (2 * _TILE_ROWS) * _TILE_ROWS
-        for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-            z = np.empty((len(h), w.shape[1]))
-            if split and cut * w.size > _SMALL_PRODUCT:
-                _layer_in_two_parts(h, w, b, z, i < last, cut)
-            else:
-                _layer(h, w, b, z, i < last)
-            h = z
-        out[start : start + len(h)] = h[:, 0]
+        x = inputs[start : start + _BLOCK_ROWS]
+        zs = [np.empty((len(x), w.shape[1])) for w in model.weights]
+        cut = len(x) // (2 * _TILE_ROWS) * _TILE_ROWS
+        if split and all(cut * w.size > _SMALL_PRODUCT for w in model.weights):
+            with futures.ThreadPoolExecutor(1, thread_name_prefix="profit-forward") as worker:
+                half = worker.submit(_layer_chain, x[cut:], model, [z[cut:] for z in zs])
+                _layer_chain(x[:cut], model, [z[:cut] for z in zs])
+            half.result()
+        else:
+            _layer_chain(x, model, zs)
+        out[start : start + len(x)] = zs[-1][:, 0]
+        del zs  # free this block's activations before the next block allocates
     return out
 
 
@@ -154,36 +158,16 @@ def _two_cpus_one_blas_thread() -> bool:
     return len(cpus) >= 2 and blas.thread_count() == 1
 
 
-def _layer(h, w, b, z, rectify) -> None:
-    """One dense layer into ``z``: product, bias, then the rectifier if asked."""
-    np.matmul(h, w, out=z)
-    z += b
-    if rectify:
-        np.maximum(z, 0.0, out=z)
-
-
-def _layer_in_two_parts(h, w, b, z, rectify, cut) -> None:
-    """``_layer`` with rows ``[cut:]`` on the worker thread; waits for both parts."""
-    part = _worker.submit(_layer, h[cut:], w, b, z[cut:], rectify)
-    try:
-        _layer(h[:cut], w, b, z[:cut], rectify)
-    finally:
-        futures.wait((part,))  # the worker writes into z: never leave it running
-    part.result()
-
-
-def _new_worker() -> None:
-    """A new executor for the second parts; its thread starts on first use.
-
-    A forked child needs one: its copy of the parent's has no thread to run them.
-    """
-    global _worker
-    _worker = futures.ThreadPoolExecutor(1, thread_name_prefix="profit-forward")
-
-
-_new_worker()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_new_worker)
+def _layer_chain(h, model: MlpModel, zs) -> None:
+    """Rows ``h`` through every layer, each into its ``zs`` entry: product,
+    bias, then the rectifier on all but the last."""
+    last = len(zs) - 1
+    for i, (w, b, z) in enumerate(zip(model.weights, model.biases, zs)):
+        np.matmul(h, w, out=z)
+        z += b
+        if i < last:
+            np.maximum(z, 0.0, out=z)
+        h = z
 
 
 def _check_inputs(model: MlpModel, inputs: np.ndarray) -> None:

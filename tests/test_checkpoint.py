@@ -106,6 +106,9 @@ def test_constructor_validates_shapes_and_steps():
         Checkpoint(DIMS, np.zeros(4), {}, 0, "")
     with pytest.raises(CheckpointError, match="step_count"):
         Checkpoint(DIMS, np.zeros(param_count(DIMS)), {}, -1, "")
+    with pytest.raises(CheckpointError, match="step_count"):
+        Checkpoint(DIMS, np.zeros(param_count(DIMS)), {}, 2**64, "")
+    assert Checkpoint(DIMS, np.zeros(param_count(DIMS)), {}, 2**64 - 1, "").step_count == 2**64 - 1
 
 
 def test_missing_file_is_a_checkpoint_error(tmp_path):

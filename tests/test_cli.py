@@ -196,6 +196,22 @@ def test_finetune_rejects_architecture_mismatch(cfg_path, tmp_path, capsys):
     assert "does not match configured dims" in capsys.readouterr().err
 
 
+def test_finetune_past_the_largest_step_count_is_an_error_line(
+    cfg_path, trained, tmp_path, capsys
+):
+    """A checkpoint at step 2**64 - 1 loads, but 12 more steps overflow the format's u64."""
+    ckpt = load_checkpoint(trained)
+    last = tmp_path / "last.pfit"
+    save_checkpoint(
+        last, Checkpoint(ckpt.dims, ckpt.weights, ckpt.rng_state, 2**64 - 1, ckpt.config_digest)
+    )
+    out = tmp_path / "ft"
+    assert run_cli(*finetune_args(cfg_path, last, out, "full")) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: step_count must be")
+    assert not list(out.glob("*.pfit"))
+
+
 # -------------------------------------------------------- final errors
 
 # (command, strategy, config overrides, grid forwards in the eval hooks,

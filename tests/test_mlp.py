@@ -170,15 +170,15 @@ def forward_on(split: bool, monkeypatch, model, inputs) -> np.ndarray:
 
 
 def worker_layer_calls(monkeypatch) -> list:
-    """Wrap ``mlp._layer``; returns the growing list of rows it ran off the main thread."""
-    calls, layer = [], mlp._layer
+    """Wrap ``mlp._layer_chain``; returns the growing list of rows it ran off the main thread."""
+    calls, chain = [], mlp._layer_chain
 
     def recorded(h, *args):
         if threading.current_thread() is not threading.main_thread():
             calls.append(len(h))
-        layer(h, *args)
+        chain(h, *args)
 
-    monkeypatch.setattr(mlp, "_layer", recorded)
+    monkeypatch.setattr(mlp, "_layer_chain", recorded)
     return calls
 
 
@@ -188,8 +188,8 @@ def worker_layer_calls(monkeypatch) -> list:
     ids=["500-wide-init", "500-wide-baseline"],
 )
 def test_two_thread_forward_of_both_grids_equals_one_thread(make_model, monkeypatch):
-    """Each block's three layers run as two row parts (2,520 + 2,520 and 2,472 +
-    2,488 rows), with the bytes of the one-thread path."""
+    """Each block runs its layer chain as two row halves (2,520 + 2,520 and
+    2,472 + 2,488 rows), with the bytes of the one-thread path."""
     model = make_model()
     worker_rows = worker_layer_calls(monkeypatch)
     for domain in (toy.ORIGINAL_DOMAIN, toy.NEW_DOMAIN):
@@ -197,66 +197,87 @@ def test_two_thread_forward_of_both_grids_equals_one_thread(make_model, monkeypa
         expected = forward_on(False, monkeypatch, model, grid)
         worker_rows.clear()
         assert forward_on(True, monkeypatch, model, grid).tobytes() == expected.tobytes()
-        assert worker_rows == [2_520] * 3 + [2_488] * 3
+        assert worker_rows == [2_520, 2_488]
 
 
 @pytest.mark.parametrize("rows", [5_041, 7_000, 20_000])
 def test_two_thread_forward_equals_one_thread_on_other_row_counts(rows, monkeypatch):
-    """Tail blocks of 1 and 1,960 rows: layers whose parts would fall to the
-    small-matrix kernel stay one call, the rest split with unchanged bytes."""
+    """Tail blocks of 1 and 1,960 rows have a layer whose half would fall to the
+    small-matrix kernel, so they stay on one thread; whole blocks and the
+    4,880-row tail of 20,000 split with unchanged bytes."""
     model = init_model(LAYER_DIMS, np.random.default_rng(5))
     x = np.random.default_rng(rows).uniform(-1.0, 1.0, size=(rows, 2))
     expected = forward_on(False, monkeypatch, model, x)
     assert forward_on(True, monkeypatch, model, x).tobytes() == expected.tobytes()
 
 
+def failing_chain(monkeypatch, failing_part: str, finished: list) -> None:
+    """Patch ``mlp._layer_chain`` to raise in the ``"worker"`` or ``"calling"``
+    part; the worker's part, when it runs, is slow and records its rows."""
+    chain = mlp._layer_chain
+
+    def patched(h, *args):
+        on_main = threading.current_thread() is threading.main_thread()
+        if on_main == (failing_part == "calling"):
+            raise RuntimeError(f"{failing_part} part failed")
+        if not on_main:
+            time.sleep(0.2)
+        chain(h, *args)
+        finished.append(len(h))
+
+    monkeypatch.setattr(mlp, "_layer_chain", patched)
+
+
 def test_an_error_in_the_worker_part_propagates_and_forward_still_works(monkeypatch):
     model = init_model(LAYER_DIMS, np.random.default_rng(6))
     grid = toy.evaluation_grid(toy.ORIGINAL_DOMAIN)
     expected = forward_on(True, monkeypatch, model, grid)
-    layer = mlp._layer
-
-    def failing_off_main(h, *args):
-        if threading.current_thread() is not threading.main_thread():
-            raise RuntimeError("worker part failed")
-        layer(h, *args)
-
-    monkeypatch.setattr(mlp, "_layer", failing_off_main)
+    chain = mlp._layer_chain
+    failing_chain(monkeypatch, "worker", [])
     with pytest.raises(RuntimeError, match="worker part failed"):
         forward(model, grid)
-    monkeypatch.setattr(mlp, "_layer", layer)
+    monkeypatch.setattr(mlp, "_layer_chain", chain)
     assert forward(model, grid).tobytes() == expected.tobytes()
 
 
 def test_an_error_in_the_calling_part_waits_for_the_worker_part(monkeypatch):
-    """The worker writes into the layer's output, so forward never returns or
+    """The worker writes into the block's outputs, so forward never returns or
     raises while the worker's part still runs."""
     model = init_model(LAYER_DIMS, np.random.default_rng(7))
     grid = toy.evaluation_grid(toy.ORIGINAL_DOMAIN)
-    finished, layer = [], mlp._layer
-
-    def slow_worker_failing_caller(h, *args):
-        if threading.current_thread() is threading.main_thread():
-            raise RuntimeError("calling part failed")
-        time.sleep(0.2)
-        layer(h, *args)
-        finished.append(len(h))
-
-    monkeypatch.setattr(mlp, "_layer", slow_worker_failing_caller)
+    finished = []
+    failing_chain(monkeypatch, "calling", finished)
     with pytest.raises(RuntimeError, match="calling part failed"):
         forward_on(True, monkeypatch, model, grid)
     assert finished == [2_520]
+
+
+@pytest.mark.parametrize("failing_part", [None, "worker", "calling"])
+def test_no_thread_outlives_a_two_thread_forward(failing_part, monkeypatch):
+    """The worker lives for one block: none is left after forward returns or raises."""
+    model = init_model(LAYER_DIMS, np.random.default_rng(9))
+    grid = toy.evaluation_grid(toy.NEW_DOMAIN)
+    before = threading.active_count()
+    worker_rows = worker_layer_calls(monkeypatch)
+    if failing_part is None:
+        forward_on(True, monkeypatch, model, grid)
+        assert worker_rows == [2_520, 2_488]
+    else:
+        failing_chain(monkeypatch, failing_part, [])
+        with pytest.raises(RuntimeError, match=f"{failing_part} part failed"):
+            forward_on(True, monkeypatch, model, grid)
+    assert threading.active_count() == before
+    assert not [t for t in threading.enumerate() if t.name.startswith("profit-forward")]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
 def test_a_child_forked_after_a_two_thread_forward_forwards_the_same_bits(
     tmp_path, monkeypatch
 ):
-    """The worker thread does not survive a fork; the child makes its own."""
+    """No worker thread crosses the fork; the child's forward starts its own."""
     model = init_model(LAYER_DIMS, np.random.default_rng(8))
     grid = toy.evaluation_grid(toy.NEW_DOMAIN)
     expected = forward_on(True, monkeypatch, model, grid)
-    assert "profit-forward" in " ".join(t.name for t in threading.enumerate())
     path = tmp_path / "child.bin"
     pid = os.fork()
     if pid == 0:  # child: never return into pytest
