@@ -63,9 +63,14 @@ class Checkpoint:
                 f"weights shape {self.weights.shape} does not match dims {tuple(self.dims)} "
                 f"(expected ({n},))"
             )
-        if not 0 <= self.step_count < 2**64:
+        self.check_step_count(self.step_count)
+
+    @staticmethod
+    def check_step_count(step_count: int) -> None:
+        """Raise ``CheckpointError`` unless ``step_count`` fits the format's u64."""
+        if not 0 <= step_count < 2**64:
             raise CheckpointError(
-                f"step_count must be >= 0 and < 2**64 (the format's u64), got {self.step_count}"
+                f"step_count must be >= 0 and < 2**64 (the format's u64), got {step_count}"
             )
 
 

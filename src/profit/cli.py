@@ -105,11 +105,13 @@ def _train_and_save(
     """Train ``theta0``, write the checkpoint, metrics and trace, and print the report.
 
     ``strategy`` is as in ``toy.train`` and prefixes every file name.
-    ``start_count`` is the step count of the starting weights.
+    ``start_count`` is the step count of the starting weights; a total the
+    checkpoint format cannot hold fails before training.
     """
     plan = cfg.plan
     baseline = strategy == "baseline"
     steps = plan.baseline_steps if baseline else plan.finetune_steps
+    Checkpoint.check_step_count(start_count + steps)
     domains = ("original",) if baseline else ("original", "new")
     loss_cell = [math.nan]
 

@@ -9,6 +9,9 @@ in its nearly-linear regime on oscillatory targets.
 
 Gradients are exact reverse-mode derivatives of the mean-squared-error loss,
 written out for this fixed family; there is no general autodiff graph here.
+A layer (product, bias, then the rectifier on all but the last) is written
+once, in ``_layer_chain``, which ``forward`` and ``backward`` both run;
+``backward`` checks each layer's activations after the rectifier.
 
 Flat layout, used by ``flatten``/``unflatten`` and by everything downstream
 that treats the model as one vector: layer 1 weights in row-major order,
@@ -133,6 +136,8 @@ def forward(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
     calling half raises.  Each half sums its rows as the unsplit call does:
     every 24-row cut of 5,040- and 4,960-row products at 500 wide gave that
     call's bits on the same build.  ``backward`` never splits.
+
+    Raises ``NonFiniteError`` when a prediction is not finite.
     """
     _check_inputs(model, inputs)
     out = np.empty(len(inputs))
@@ -150,6 +155,8 @@ def forward(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
             _layer_chain(x, model, zs)
         out[start : start + len(x)] = zs[-1][:, 0]
         del zs  # free this block's activations before the next block allocates
+    if not np.isfinite(out).all():
+        raise NonFiniteError("forward: non-finite predictions")
     return out
 
 
@@ -200,8 +207,9 @@ def backward(
     the gradient is written into it and returned, which saves an allocation
     per step on hot training loops.
 
-    Raises ``NonFiniteError`` naming the first layer whose pre-activation
-    overflows, so a diverging run fails loudly instead of propagating NaNs.
+    Raises ``NonFiniteError`` naming the first layer whose activations are
+    not finite after the rectifier, so a diverging run fails loudly instead
+    of propagating NaNs.  A pre-activation of -inf is clipped to 0 and passes.
     """
     return _backward(model, batch, out, 0, "backward")
 
@@ -230,22 +238,19 @@ def _backward(
     layer the pass stops at.  ``who`` names the caller in error messages.
     """
     _check_inputs(model, batch.inputs)
-    n_layers = len(model.weights)
 
-    # forward with cache
-    acts = [batch.inputs]  # post-activation per layer, starting at the input
-    h = batch.inputs
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = h @ w
-        z += b
+    # forward with cache: each layer's output after its rectifier, checked in
+    # order.  The rectifier clips a -inf pre-activation to its exact value 0 and
+    # keeps +inf and NaN, so a non-finite output is a non-finite pre-activation.
+    zs = [np.empty((len(batch.inputs), w.shape[1])) for w in model.weights]
+    _layer_chain(batch.inputs, model, zs)
+    for i, z in enumerate(zs):
         if not np.isfinite(z).all():
             raise NonFiniteError(f"{who}: non-finite pre-activation in layer {i + 1}")
-        h = np.maximum(z, 0.0, out=z) if i < n_layers - 1 else z
-        acts.append(h)
+    acts = [batch.inputs] + zs  # the input, then each layer's output
 
-    preds = acts[-1][:, 0]
     batch_size = len(batch.targets)
-    resid = preds - batch.targets
+    resid = zs[-1][:, 0] - batch.targets
     loss = float(np.dot(resid, resid) / batch_size)
 
     n = param_count(model.dims[first_layer:])
@@ -259,12 +264,11 @@ def _backward(
     # slots of the flat layout
     d = (2.0 / batch_size) * resid[:, None]
     end = n
-    for i in range(n_layers - 1, first_layer - 1, -1):
-        a_prev = acts[i]
+    for i in range(len(zs) - 1, first_layer - 1, -1):
         d_in, d_out = model.weights[i].shape
         b_start = end - d_out
         w_start = b_start - d_in * d_out
-        np.matmul(a_prev.T, d, out=out[w_start:b_start].reshape(d_in, d_out))
+        np.matmul(acts[i].T, d, out=out[w_start:b_start].reshape(d_in, d_out))
         np.sum(d, axis=0, out=out[b_start:end])
         if i > first_layer:
             w = model.weights[i]

@@ -2,18 +2,20 @@
 
 Format: one ``key = value`` per line, ``#`` starts a comment, blank lines
 ignored.  Unknown keys are rejected so a typo cannot silently fall back to a
-default.  The canonical echo lists every key including defaulted ones, in
-schema order, so two configs that behave identically echo identically; the
-sha256 of that echo is the digest stamped into checkpoints.
+default.  A key that sets a plan field takes its default from
+``ExperimentPlan()``.  The canonical echo lists every key including defaulted
+ones, in schema order, so two configs that behave identically echo
+identically; the sha256 of that echo is the digest stamped into checkpoints.
 """
 
 import hashlib
 from dataclasses import dataclass
+from functools import reduce
 from pathlib import Path
 
 from . import optim
 from .errors import ConfigError
-from .toy import STRATEGIES, ExperimentPlan, ToyDataConfig
+from .toy import STRATEGIES, ExperimentPlan
 
 
 def _parse_float(s: str) -> float:
@@ -55,33 +57,43 @@ def _fmt(value) -> str:
     return str(value)
 
 
-# key -> (parser, default)
+_DEFAULT_PLAN = ExperimentPlan()
+
+
+def _plan_key(parser, field: str) -> tuple:
+    """A key that sets ``field`` of ``ExperimentPlan`` (``"name"``, or
+    ``"name.attribute"`` of a nested value), defaulting to its value there."""
+    return parser, reduce(getattr, field.split("."), _DEFAULT_PLAN), field
+
+
+# key -> (parser, default, the ExperimentPlan field it sets); the CLI's own
+# keys set no field
 SCHEMA = {
-    "original.domain_low": (_parse_float, -1.0),
-    "original.domain_high": (_parse_float, 1.0),
-    "original.noise_std": (_parse_float, 1.0),
-    "new.domain_low": (_parse_float, 0.8),
-    "new.domain_high": (_parse_float, 1.5),
-    "new.noise_std": (_parse_float, 1.0),
-    "dims": (_parse_int_list, (2, 500, 500, 1)),
-    "batch_size": (_parse_int, 128),
-    "baseline.optimizer": (_parse_choice(*optim.KINDS), "rmsprop"),
-    "baseline.lr": (_parse_float, 1e-2),
-    "baseline.decay": (_parse_float, 1e-2),
-    "baseline.steps": (_parse_int, 10000),
-    "finetune.optimizer": (_parse_choice(*optim.KINDS), "rmsprop"),
-    "finetune.lr": (_parse_float, 5e-4),
-    "finetune.decay": (_parse_float, 0.0),
-    "finetune.steps": (_parse_int, 1500),
-    "profit.n_ref": (_parse_int, 1),
-    "profit.ref_optimizer": (_parse_choice(*optim.KINDS), "sgd"),
-    "profit.lr_ratio": (_parse_float, 100.0),
-    "profit.warmup_steps": (_parse_int, 0),
-    "strategy": (_parse_choice(*STRATEGIES), "profit"),
-    "strategies": (_parse_str_list, STRATEGIES),
-    "seeds": (_parse_int_list, (0, 1, 2)),
-    "eval_every": (_parse_int, 100),
-    "out_dir": (str, "runs"),
+    "original.domain_low": _plan_key(_parse_float, "original.domain_low"),
+    "original.domain_high": _plan_key(_parse_float, "original.domain_high"),
+    "original.noise_std": _plan_key(_parse_float, "original.noise_std"),
+    "new.domain_low": _plan_key(_parse_float, "new.domain_low"),
+    "new.domain_high": _plan_key(_parse_float, "new.domain_high"),
+    "new.noise_std": _plan_key(_parse_float, "new.noise_std"),
+    "dims": _plan_key(_parse_int_list, "dims"),
+    "batch_size": _plan_key(_parse_int, "batch_size"),
+    "baseline.optimizer": _plan_key(_parse_choice(*optim.KINDS), "baseline.kind"),
+    "baseline.lr": _plan_key(_parse_float, "baseline.learning_rate"),
+    "baseline.decay": _plan_key(_parse_float, "baseline.decay"),
+    "baseline.steps": _plan_key(_parse_int, "baseline_steps"),
+    "finetune.optimizer": _plan_key(_parse_choice(*optim.KINDS), "finetune.kind"),
+    "finetune.lr": _plan_key(_parse_float, "finetune.learning_rate"),
+    "finetune.decay": _plan_key(_parse_float, "finetune.decay"),
+    "finetune.steps": _plan_key(_parse_int, "finetune_steps"),
+    "profit.n_ref": _plan_key(_parse_int, "n_ref"),
+    "profit.ref_optimizer": _plan_key(_parse_choice(*optim.KINDS), "ref_kind"),
+    "profit.lr_ratio": _plan_key(_parse_float, "lr_ratio"),
+    "profit.warmup_steps": _plan_key(_parse_int, "warmup_steps"),
+    "strategy": (_parse_choice(*STRATEGIES), "profit", None),
+    "strategies": _plan_key(_parse_str_list, "strategies"),
+    "seeds": _plan_key(_parse_int_list, "seeds"),
+    "eval_every": (_parse_int, 100, None),
+    "out_dir": (str, "runs", None),
 }
 
 
@@ -100,12 +112,11 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        parser, _ = SCHEMA[key]
         try:
-            values[key] = parser(val)
+            values[key] = SCHEMA[key][0](val)
         except ConfigError as exc:
             raise ConfigError(f"line {lineno}: {key}: {exc}") from None
-    for key, (_, default) in SCHEMA.items():
+    for key, (_, default, _) in SCHEMA.items():
         values.setdefault(key, default)
     return values
 
@@ -126,27 +137,19 @@ class RunConfig:
 
 
 def _build_plan(v: dict) -> ExperimentPlan:
-    def spec(kind: str, lr: float, decay: float) -> optim.OptimizerSpec:
-        return optim.OptimizerSpec(kind, lr, decay=decay)
-
-    original = ToyDataConfig(v["original.domain_low"], v["original.domain_high"], v["original.noise_std"])
-    new = ToyDataConfig(v["new.domain_low"], v["new.domain_high"], v["new.noise_std"])
-    return ExperimentPlan(
-        original=original,
-        new=new,
-        batch_size=v["batch_size"],
-        baseline=spec(v["baseline.optimizer"], v["baseline.lr"], v["baseline.decay"]),
-        baseline_steps=v["baseline.steps"],
-        finetune=spec(v["finetune.optimizer"], v["finetune.lr"], v["finetune.decay"]),
-        finetune_steps=v["finetune.steps"],
-        n_ref=v["profit.n_ref"],
-        ref_kind=v["profit.ref_optimizer"],
-        lr_ratio=v["profit.lr_ratio"],
-        warmup_steps=v["profit.warmup_steps"],
-        strategies=v["strategies"],
-        seeds=v["seeds"],
-        dims=v["dims"],
-    )
+    """The plan the values set, in one constructor call.  A nested value is
+    built first from its attributes' keys, the rest at their class defaults."""
+    fields, nested = {}, {}
+    for key, (_, _, field) in SCHEMA.items():
+        if field:
+            name, _, attribute = field.partition(".")
+            if attribute:
+                nested.setdefault(name, {})[attribute] = v[key]
+            else:
+                fields[name] = v[key]
+    for name, attributes in nested.items():
+        fields[name] = type(getattr(_DEFAULT_PLAN, name))(**attributes)
+    return ExperimentPlan(**fields)
 
 
 def config_from_text(text: str) -> RunConfig:

@@ -385,16 +385,13 @@ def run_ablation_sweep(
 
     Baselines are trained once per seed and shared across all swept values;
     each row aggregates one value's PROFIT fine-tunes over the seeds.
+    ``baselines`` may carry pre-trained models keyed by seed; it is only read.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}, expected one of {tuple(SWEEP_AXES)}")
-    if values is None:
-        values = SWEEP_AXES[axis]
-    if baselines is None:
-        baselines = {}
-    for seed in plan.seeds:
-        if seed not in baselines:
-            baselines[seed] = train_baseline(plan, seed)
+    values = SWEEP_AXES[axis] if values is None else values
+    given = baselines or {}
+    baselines = {s: given[s] if s in given else train_baseline(plan, s) for s in plan.seeds}
 
     rows = []
     for value in values:

@@ -197,9 +197,13 @@ def test_finetune_rejects_architecture_mismatch(cfg_path, tmp_path, capsys):
 
 
 def test_finetune_past_the_largest_step_count_is_an_error_line(
-    cfg_path, trained, tmp_path, capsys
+    cfg_path, trained, tmp_path, capsys, monkeypatch
 ):
-    """A checkpoint at step 2**64 - 1 loads, but 12 more steps overflow the format's u64."""
+    """A checkpoint at step 2**64 - 1 loads, but 12 more steps overflow the format's
+    u64: the error comes before any training."""
+    trained_runs = []
+    train = toy.train
+    monkeypatch.setattr(toy, "train", lambda *a: trained_runs.append(a) or train(*a))
     ckpt = load_checkpoint(trained)
     last = tmp_path / "last.pfit"
     save_checkpoint(
@@ -210,6 +214,7 @@ def test_finetune_past_the_largest_step_count_is_an_error_line(
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: step_count must be")
     assert not list(out.glob("*.pfit"))
+    assert trained_runs == []
 
 
 # -------------------------------------------------------- final errors
@@ -520,6 +525,21 @@ def test_evaluate_rejects_a_checkpoint_the_package_cannot_build(dims, tmp_path, 
     assert run_cli("evaluate", "--checkpoint", path, "--out-dir", out) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: checkpoint dims {dims}")
+    assert not out.exists()
+
+
+def test_evaluate_of_an_overflowing_grid_is_an_error_line(tmp_path, capsys):
+    dims = (2, 4, 4, 1)
+    huge = tmp_path / "huge.pfit"
+    save_checkpoint(
+        huge, Checkpoint(dims, np.full(param_count(dims), 1e200), rng_state_of(make_rng(0)), 0, "")
+    )
+    out = tmp_path / "eval"
+    assert run_cli("evaluate", "--checkpoint", huge, "--out-dir", out) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: forward: non-finite")
+    assert captured.out == ""
     assert not out.exists()
 
 

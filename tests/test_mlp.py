@@ -417,6 +417,33 @@ def test_backward_overflow_names_the_layer():
         backward(model, batch)
 
 
+@pytest.mark.parametrize("gradient", [backward, backward_head])
+def test_backward_clips_a_minus_inf_pre_activation_to_zero(gradient):
+    """Every layer-1 pre-activation overflows to -inf.  The rectifier clips it to
+    0, as it clips the large finite negatives of the same model with unit
+    layer-1 weights, so both give the same loss and gradient bytes."""
+    rng = np.random.default_rng(5)
+    w2, w3, b2, b3 = (rng.standard_normal(s) for s in ((3, 3), (3, 1), 3, 1))
+    batch = Batch(np.full((4, 2), -1e200), rng.standard_normal(4))
+    overflowing, finite = (
+        MlpModel((np.full((2, 3), scale), w2, w3), (np.zeros(3), b2, b3)) for scale in (1e200, 1.0)
+    )
+    with np.errstate(over="ignore"):
+        loss, grad = gradient(overflowing, batch)
+    expected_loss, expected_grad = gradient(finite, batch)
+    assert loss == expected_loss
+    assert grad.tobytes() == expected_grad.tobytes()
+
+
+def test_forward_raises_on_a_non_finite_prediction():
+    model = MlpModel(
+        weights=(np.full((2, 4), 1e200), np.full((4, 4), 1e200), np.full((4, 1), 1e200)),
+        biases=(np.zeros(4), np.zeros(4), np.zeros(1)),
+    )
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="^forward: non-finite"):
+        forward(model, np.ones((3, 2)))
+
+
 def test_backward_out_buffer_matches_fresh_allocation():
     rng = np.random.default_rng(21)
     model = init_model((2, 7, 3, 1), rng)

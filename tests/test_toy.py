@@ -364,6 +364,15 @@ def test_sweep_more_reference_steps_change_batch_accounting(golden_dir):
     assert [float(r["value"]) for r in rows] == [1.0, 2.0, 5.0]
 
 
+def test_sweep_only_reads_the_baselines_it_is_given(tiny_baselines):
+    plan = make_tiny_plan(baseline_steps=5, finetune_steps=2, seeds=(0, 1))
+    empty, partial = {}, {1: tiny_baselines[1]}
+    for given in (empty, partial):
+        run_ablation_sweep(plan, "n_ref", values=(1,), baselines=given)
+    assert empty == {}
+    assert list(partial) == [1] and partial[1] is tiny_baselines[1]
+
+
 @pytest.mark.parametrize("per_seed", [((2, 3), (2, 3)), ((2,), (3,))], ids=["within", "across"])
 def test_sweep_rejects_inconsistent_batch_accounting(monkeypatch, per_seed):
     """Each row's ``batches_per_step`` is read from its traces, which must agree
