@@ -35,17 +35,7 @@ VERSION = 1
 
 def rng_state_of(rng: np.random.Generator) -> dict:
     """Generator state as a JSON-safe dict (uint64 words become Python ints)."""
-    return _jsonify(rng.bit_generator.state)
-
-
-def _jsonify(value):
-    if isinstance(value, dict):
-        return {k: _jsonify(v) for k, v in value.items()}
-    if isinstance(value, np.ndarray):
-        return [int(v) for v in value.tolist()]
-    if isinstance(value, np.integer):
-        return int(value)
-    return value
+    return json.loads(json.dumps(rng.bit_generator.state, default=lambda v: v.tolist()))
 
 
 @dataclass(frozen=True)

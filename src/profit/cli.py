@@ -21,9 +21,11 @@ last metrics row when it was taken at the final step (``baseline.steps``, or
 the weights that are saved.  Only otherwise, with no such row, are the grids
 forwarded again.  Exit codes: 0 success, 1 usage or config error, 2 runtime,
 checkpoint, numeric or out-of-memory error.  Config errors include PROFIT
-settings that cannot run (for any strategy), a negative ``--seed`` and a
-config file that cannot be read as text.  File writes go to a uniquely
-named temporary file that is then renamed over the target.
+settings that cannot run (for any strategy), a domain whose squared norm
+overflows, a sweep cell that cannot run (found before any training), a
+negative ``--seed`` and a config file that cannot be read as text.  File
+writes go to a uniquely named temporary file that is then renamed over the
+target.
 """
 
 import argparse

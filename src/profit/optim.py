@@ -65,6 +65,8 @@ _MERGE = 2.0**-969
 # them can.  Measured at n = 252,501: gathering pays below about 1/8 for SGD,
 # whose dense step is three passes, and up to 1/4 for RMSProp and Adam.
 _GATHER_SHARE = {"sgd": 0.125, "rmsprop": 0.25, "adam": 0.25}
+# the accumulators each kind keeps in ``OptimizerState.buffers``
+_ACCUMULATORS = {"sgd": (), "rmsprop": ("v",), "adam": ("m", "v")}
 
 
 @dataclass(frozen=True)
@@ -147,15 +149,8 @@ def init_state(spec: OptimizerSpec, n: int) -> OptimizerState:
     """Allocate zeroed buffers and the scratch vectors for ``spec`` over an n-dimensional vector."""
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    if spec.kind == "sgd":
-        buffers = {}
-        scratch = (np.empty(n),)
-    elif spec.kind == "rmsprop":
-        buffers = {"v": np.zeros(n)}
-        scratch = (np.empty(n), np.empty(n))
-    else:  # adam
-        buffers = {"m": np.zeros(n), "v": np.zeros(n)}
-        scratch = (np.empty(n), np.empty(n))
+    buffers = {name: np.zeros(n) for name in _ACCUMULATORS[spec.kind]}
+    scratch = tuple(np.empty(n) for _ in range(1 if spec.kind == "sgd" else 2))
     return OptimizerState(spec=spec, n=n, t=0, buffers=buffers, scratch=scratch)
 
 

@@ -12,6 +12,7 @@ splittable): stream 0 seeds model init, stream 1 the original-domain batch
 stream, stream 2 the new-domain fine-tuning stream.
 """
 
+import math
 import time
 from collections.abc import Iterator, Sequence
 from dataclasses import astuple, dataclass, field, replace
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import mlp, optim
 from .core import ProfitConfig, run_plain_training, run_profit_training
-from .errors import NonFiniteError
+from .errors import ConfigError, NonFiniteError
 from .mlp import LAYER_DIMS, Batch, MlpModel, backward, flatten, forward, head_block_size, unflatten
 
 GRID_SIZE = 100
@@ -42,7 +43,9 @@ class ToyDataConfig:
     """Sampling domain for one data split.
 
     Input coordinates are drawn independently from U[domain_low, domain_high]
-    per axis; targets get N(0, noise_std^2) noise added.
+    per axis; targets get N(0, noise_std^2) noise added.  Every point's
+    squared norm must be finite, so ``target_function`` is finite on the
+    whole domain.
     """
 
     domain_low: float
@@ -58,6 +61,12 @@ class ToyDataConfig:
             raise ValueError(
                 f"domain_low must be < domain_high, got [{self.domain_low}, {self.domain_high}]"
             )
+        m = max(abs(self.domain_low), abs(self.domain_high))
+        if not math.isfinite(2.0 * m * m):  # float products: ** raises OverflowError
+            raise ValueError(
+                f"domain bound {m!r} is too large: the squared norm 2 * m * m of the corner of"
+                f" [{self.domain_low}, {self.domain_high}]^2 overflows"
+            )
         if not (np.isfinite(self.noise_std) and self.noise_std >= 0):
             raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
 
@@ -70,12 +79,14 @@ def target_function(x) -> np.ndarray | float:
     """sin(10 * |x|) where |x| is the Euclidean norm over the last axis.
 
     Accepts a single point of shape (2,) or a stack of points (..., 2);
-    radially symmetric and bounded in [-1, 1].
+    radially symmetric and bounded in [-1, 1].  Raises ``NonFiniteError`` on
+    a non-finite coordinate or norm (a squared norm above the largest float).
     """
     x = np.asarray(x, dtype=np.float64)
-    if not np.isfinite(x).all():
-        raise NonFiniteError("target_function: non-finite coordinates")
     r = np.sqrt(np.sum(x * x, axis=-1))
+    if not np.isfinite(r).all():  # a non-finite coordinate gives a non-finite norm
+        what = "coordinates" if not np.isfinite(x).all() else "norm"
+        raise NonFiniteError(f"target_function: non-finite {what}")
     out = np.sin(10.0 * r)
     return float(out) if out.ndim == 0 else out
 
@@ -369,33 +380,34 @@ class SweepTable(_CsvTable):
     )
 
 
-def _plan_with(plan: ExperimentPlan, axis: str, value) -> ExperimentPlan:
-    if axis == "n_ref":
-        return replace(plan, n_ref=int(value))
-    return replace(plan, lr_ratio=float(value))
-
-
 def run_ablation_sweep(
     plan: ExperimentPlan,
     axis: str,
     values: Sequence | None = None,
     baselines: dict | None = None,
 ) -> SweepTable:
-    """Sweep ``n_ref`` or the main/reference learning-rate ratio, in this process.
+    """Sweep a field of ``plan`` named in ``SWEEP_AXES``, in this process.
 
-    Baselines are trained once per seed and shared across all swept values;
-    each row aggregates one value's PROFIT fine-tunes over the seeds.
-    ``baselines`` may carry pre-trained models keyed by seed; it is only read.
+    Each value is cast to the type of the axis's defaults.  Every cell's plan
+    is built first: a value the plan rejects raises ``ConfigError`` before
+    anything trains.  Baselines are then trained once per seed and shared
+    across all swept values; each row aggregates one value's PROFIT
+    fine-tunes over the seeds.  ``baselines`` may carry pre-trained models
+    keyed by seed; it is only read.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}, expected one of {tuple(SWEEP_AXES)}")
-    values = SWEEP_AXES[axis] if values is None else values
+    cells = []
+    for value in SWEEP_AXES[axis] if values is None else values:
+        try:
+            cells.append((value, replace(plan, **{axis: type(SWEEP_AXES[axis][0])(value)})))
+        except ValueError as exc:
+            raise ConfigError(f"sweep cell {axis} = {value!r} cannot run: {exc}") from None
     given = baselines or {}
     baselines = {s: given[s] if s in given else train_baseline(plan, s) for s in plan.seeds}
 
     rows = []
-    for value in values:
-        cell_plan = _plan_with(plan, axis, value)
+    for value, cell_plan in cells:
         original_errors, new_errors, consumed = [], [], set()
         for seed in plan.seeds:
             tuned, traces = finetune_model(cell_plan, baselines[seed], "profit", seed)

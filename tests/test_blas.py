@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from profit import blas, mlp
+from profit import blas, mlp, toy
 
 
 @pytest.mark.skipif(blas.thread_count() is None, reason="numpy's BLAS is not OpenBLAS")
@@ -25,3 +25,18 @@ def test_core_name_is_a_nonempty_str_or_none():
     )
     assert name is None or (isinstance(name, str) and name)
     assert (name is None) == (blas.thread_count() is None)
+
+
+@pytest.mark.parametrize("width", [32, 500])
+def test_a_blas_without_the_openblas_symbols(width, monkeypatch):
+    """MKL or Accelerate export none of the symbols: nothing is pinned or
+    reported, grid blocks never split, and a grid forward keeps its bits (at
+    500 wide a block splits with the real symbols on two CPUs)."""
+    model = mlp.init_model((2, width, width, 1), toy.make_rng(0))
+    grid = toy.evaluation_grid(toy.ORIGINAL_DOMAIN)
+    real = mlp.forward(model, grid)
+    monkeypatch.setattr(blas, "_symbol", lambda name: None)
+    assert blas.pin_one_thread() is False
+    assert blas.thread_count() is None and blas.core_name() is None
+    assert mlp._two_cpus_one_blas_thread() is False
+    assert mlp.forward(model, grid).tobytes() == real.tobytes()

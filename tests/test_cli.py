@@ -370,6 +370,26 @@ def test_sweep_ignores_profit_threads(cfg_path, tmp_path, capsys, monkeypatch):
     assert without[1] == ""
 
 
+def test_sweep_with_a_cell_that_cannot_run_exits_one_before_training(
+    tmp_path, capsys, monkeypatch
+):
+    """At ``lr_ratio = 10000`` a fine-tune rate of 1e-320 gives a reference rate
+    that underflows to 0: the sweep fails before any baseline trains."""
+    trained = []
+    train_baseline = toy.train_baseline
+    monkeypatch.setattr(toy, "train_baseline", lambda *a: trained.append(a) or train_baseline(*a))
+    cfg = tmp_path / "tiny_rate.cfg"
+    cfg.write_text(config_text({"finetune.lr": "1e-320"}))
+    out = tmp_path / "sw"
+    assert run_cli("sweep", "--config", cfg, "--axis", "lr_ratio", "--out-dir", out) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: sweep cell lr_ratio = 10000.0 cannot run")
+    assert captured.out == ""
+    assert trained == []
+    assert not out.exists()
+
+
 # ------------------------------------------------------------ exit codes
 
 
@@ -539,6 +559,21 @@ def test_evaluate_of_an_overflowing_grid_is_an_error_line(tmp_path, capsys):
     captured = capsys.readouterr()
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: forward: non-finite")
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_evaluate_of_a_domain_whose_target_overflows_is_a_config_error(trained, tmp_path, capsys):
+    """Past bounds of about 9.48e153 the squared norm of the domain's corner
+    overflows and the target is NaN there: the config does not load."""
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(config_text({"new.domain_low": "1e154", "new.domain_high": "2e154"}))
+    out = tmp_path / "eval"
+    argv = ("evaluate", "--config", cfg, "--checkpoint", trained, "--domain", "new")
+    assert run_cli(*argv, "--out-dir", out) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: domain bound 2e+154 is too large")
     assert captured.out == ""
     assert not out.exists()
 

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from profit import toy
 from profit.checkpoint import rng_state_of
 from profit.core import ProfitStepTrace
-from profit.errors import NonFiniteError
+from profit.errors import ConfigError, NonFiniteError
 from profit.mlp import LAYER_DIMS, flatten, init_model, param_count, unflatten
 from profit.toy import (
     NEW_DOMAIN,
@@ -64,8 +65,11 @@ def test_target_radial_symmetry_and_bounds():
 def test_target_shapes_and_nonfinite():
     assert isinstance(target_function([0.1, 0.2]), float)
     assert target_function(np.zeros((4, 3, 2))).shape == (4, 3)
-    with pytest.raises(NonFiniteError):
+    with pytest.raises(NonFiniteError, match="non-finite coordinates"):
         target_function([np.nan, 0.0])
+    # finite coordinates whose squared norm passes the largest float
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="non-finite norm"):
+        target_function(np.array([[0.0, 0.0], [1e155, 0.0]]))
 
 
 # ----------------------------------------------------------------- data
@@ -83,6 +87,19 @@ def test_data_config_validation():
         ToyDataConfig(1.0, 1.0)
     with pytest.raises(ValueError, match="noise_std"):
         ToyDataConfig(0.0, 1.0, noise_std=-0.1)
+    # the squared norm of the domain's corner, 2 * m * m, overflows
+    for low, high, m in [
+        (1e154, 2e154, "2e+154"), (-1e154, 0.0, "1e+154"), (0.0, 9.5e153, "9.5e+153")
+    ]:
+        with pytest.raises(ValueError, match=re.escape(f"domain bound {m} is too large")):
+            ToyDataConfig(low, high)
+
+
+def test_data_config_accepts_the_largest_domain_with_a_finite_target():
+    config = ToyDataConfig(-9.48e153, 9.48e153)
+    corners = np.array([[config.domain_high, config.domain_high], [config.domain_low] * 2])
+    assert np.isfinite(target_function(corners)).all()
+    assert np.isfinite(sample_batch(config, make_rng(0), 64).targets).all()
 
 
 def test_sample_batch_statistics():
@@ -371,6 +388,34 @@ def test_sweep_only_reads_the_baselines_it_is_given(tiny_baselines):
         run_ablation_sweep(plan, "n_ref", values=(1,), baselines=given)
     assert empty == {}
     assert list(partial) == [1] and partial[1] is tiny_baselines[1]
+
+
+def test_sweep_sets_the_field_its_axis_names(monkeypatch, tiny_baselines):
+    """``SWEEP_AXES`` alone lists the axes: a new entry sweeps the plan field of
+    its name, cast to the type of its defaults."""
+    monkeypatch.setitem(toy.SWEEP_AXES, "warmup_steps", (0, 3))
+    seen = []
+
+    def fake_finetune(cell_plan, baseline, strategy, seed):
+        seen.append((cell_plan.warmup_steps, cell_plan.lr_ratio, cell_plan.n_ref))
+        return baseline, []
+
+    monkeypatch.setattr(toy, "finetune_model", fake_finetune)
+    plan = make_tiny_plan(seeds=(0,))
+    table = run_ablation_sweep(plan, "warmup_steps", values=(3.0,), baselines=tiny_baselines)
+    assert seen == [(3, plan.lr_ratio, plan.n_ref)] and type(seen[0][0]) is int
+    assert [(r.axis, r.value) for r in table.rows] == [("warmup_steps", 3.0)]
+
+
+@pytest.mark.parametrize("axis, values", [("n_ref", (1, 0)), ("lr_ratio", (10.0, -1.0))])
+def test_sweep_rejects_a_cell_that_cannot_run_before_training(axis, values, monkeypatch):
+    trained = []
+    train_baseline = toy.train_baseline
+    monkeypatch.setattr(toy, "train_baseline", lambda *a: trained.append(a) or train_baseline(*a))
+    cannot_run = re.escape(f"sweep cell {axis} = {values[1]!r} cannot run")
+    with pytest.raises(ConfigError, match=cannot_run):
+        run_ablation_sweep(make_tiny_plan(seeds=(0,)), axis, values=values)
+    assert trained == []
 
 
 @pytest.mark.parametrize("per_seed", [((2, 3), (2, 3)), ((2,), (3,))], ids=["within", "across"])
