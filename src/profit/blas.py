@@ -9,13 +9,13 @@ different last bits at 1 and at 2 threads.  PROFIT's sign gate
 environment's thread setting and saves the worker threads' CPU.
 
 ``mlp.forward`` still uses a second CPU, from one Python worker thread that
-runs half of a large grid block's rows through every layer, each product a
-single-thread BLAS call of its own.  Each output row is then summed by one
-thread in the order of the unsplit call, so the bits stay those of one
-thread (the cut rules are in ``mlp.forward``).  The worker lives for that
-block alone: it starts with the block and is joined before the next one, so
-no thread outlives a call, none spins between products as OpenBLAS's own
-threads do, and none crosses a fork.
+runs the second half of a large input's row chunks through every layer,
+each product a single-thread BLAS call of its own.  Each output row is then
+summed by one thread in the order of one whole-input call, so the bits stay
+those of one thread (the chunk rule is in ``mlp.forward``).  The worker
+lives for one call: it starts with the call and is joined before the call
+returns or raises, so no thread outlives a call, none spins between
+products as OpenBLAS's own threads do, and none crosses a fork.
 
 The setter is looked up through numpy's own extension module, whose handle
 also resolves the symbols of the OpenBLAS it links (the ``scipy_openblas``

@@ -101,63 +101,81 @@ def init_model(dims, rng: np.random.Generator) -> MlpModel:
     return MlpModel(tuple(weights), biases)
 
 
-# Rows per block of ``forward``: 24 * 210, a whole number of OpenBLAS's
-# SkylakeX 24-row tiles, and large enough that no width tried falls to its
-# small-matrix kernel in a grid block where the whole grid does not.  Smaller
-# blocks lost the one-pass bits: 2,016 rows at widths 17-20, 199, 206, 213,
-# 220 and 255, and every power of two from 16 to 2,048 rows at 500 wide.
-_BLOCK_ROWS = 5040
+# ``forward``'s chunks are whole numbers of OpenBLAS's SkylakeX 24-row tiles,
+# so a chunk's rows are tiled as in one whole-input product; only the last
+# chunk holds a partial tile.
 _TILE_ROWS = 24
 # OpenBLAS's small-matrix kernel takes products of rows * fan_in * fan_out at
-# or below this; a block splits only when every layer's half stays above it.
+# or below this, and sums their rows in another order.  Every chunk keeps each
+# matrix-matrix layer (fan-out > 1) above it.  A one-column layer is exempt:
+# numpy hands a one-column right operand to BLAS as a matrix-vector product,
+# which has no small-matrix path, and every tile-aligned run of rows tried
+# (24-1,992 rows from 54 starts, 500 wide) gave the whole input's bits.
 _SMALL_PRODUCT = 10**6
 
 
 def forward(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
     """Predictions for a (B, d_in) input array, as a (B,) vector.
 
-    Rows go through in blocks of ``_BLOCK_ROWS``, so a 10,000-point grid
-    (5,040 + 4,960 rows) holds half the activations of one pass.  A block's
-    rows can differ from one whole-input pass only in its last partial 24-row
-    tile, or in a layer that takes OpenBLAS's small-matrix kernel (rows *
-    fan_in * fan_out <= 10**6) in the block but not in the whole input.
-    Blocks start on tile edges, and on both grids every width tried (2-w-w-1
-    for w in 1-79, 80-695 in steps of 7, 250, 256, 500, 512 and 1,000) gave
-    the one-pass bits on OpenBLAS 0.3.31 (SkylakeX kernels, one thread).
-    Inputs of up to 5,040 rows, every training batch among them, are one block.
+    Rows go through in near-equal chunks of whole 24-row tiles, each the
+    fewest tiles that keep every matrix-matrix layer's ``rows * fan_in *
+    fan_out`` above the small-matrix cutoff (10**6), with the partial tile in
+    the last chunk; an input too short for two chunks is one pass.  At 500
+    wide a chunk needs 42 tiles (1,008 rows), so a 10,000-point grid is 9
+    chunks of 1,104-1,144 rows and every training batch is one pass.  Each
+    chunk's products then sum every row as one whole-input pass does.  On
+    OpenBLAS 0.3.31 with one BLAS thread, with the chunks on one and on two
+    threads, the one-pass bits held under the SkylakeX kernel on both grids
+    at every width tried (2-w-w-1 for w in 1-79, 80-695 in steps of 7, 512
+    and 1,000) and at 615 row counts from 1 to 20,998 at 500 wide, and under
+    the Haswell and Sandybridge kernels on both grids at 22 widths from 6 to
+    1,000 and at 21 row counts from 1 to 20,000.
 
-    A block may run as two row halves at once, cut at the 24-row tile edge at
-    or below its middle (2,520 of 5,040, 2,472 of 4,960).  It does when this
-    process may run on two CPUs, the BLAS runs one thread, and every layer's
-    ``cut * fan_in * fan_out`` is above the small-matrix cutoff.  Then rows
-    ``[cut:]`` go through the whole layer chain on a worker thread that lives
-    for this block alone, while the calling thread runs rows ``[:cut]``;
-    leaving the executor's ``with`` waits for the worker, also when the
-    calling half raises.  Each half sums its rows as the unsplit call does:
-    every 24-row cut of 5,040- and 4,960-row products at 500 wide gave that
-    call's bits on the same build.  ``backward`` never splits.
+    When this process may run on two CPUs and the BLAS runs one thread, the
+    calling thread runs the first half of the chunks (rounded up) and one
+    worker thread, living for this call alone, runs the rest; leaving the
+    executor's ``with`` waits for the worker, also when the calling part
+    raises.  Each thread reuses one buffer per layer, sized for its largest
+    chunk, so a 500-wide grid holds about 18 MB of activations, not the 80 MB
+    of one pass.  ``backward`` never chunks.
 
     Raises ``NonFiniteError`` when a prediction is not finite.
     """
     _check_inputs(model, inputs)
+    edges = _chunk_edges(len(inputs), model.weights)
     out = np.empty(len(inputs))
-    split = _two_cpus_one_blas_thread()
-    for start in range(0, len(inputs), _BLOCK_ROWS):
-        x = inputs[start : start + _BLOCK_ROWS]
-        zs = [np.empty((len(x), w.shape[1])) for w in model.weights]
-        cut = len(x) // (2 * _TILE_ROWS) * _TILE_ROWS
-        if split and all(cut * w.size > _SMALL_PRODUCT for w in model.weights):
-            with futures.ThreadPoolExecutor(1, thread_name_prefix="profit-forward") as worker:
-                half = worker.submit(_layer_chain, x[cut:], model, [z[cut:] for z in zs])
-                _layer_chain(x[:cut], model, [z[:cut] for z in zs])
-            half.result()
-        else:
-            _layer_chain(x, model, zs)
-        out[start : start + len(x)] = zs[-1][:, 0]
-        del zs  # free this block's activations before the next block allocates
+    mine = len(edges) // 2  # the calling thread's chunks: ceil(k / 2) of k
+    if len(edges) > 2 and _two_cpus_one_blas_thread():
+        with futures.ThreadPoolExecutor(1, thread_name_prefix="profit-forward") as worker:
+            rest = worker.submit(_run_chunks, model, inputs, edges[mine:], out)
+            _run_chunks(model, inputs, edges[: mine + 1], out)
+        rest.result()
+    else:
+        _run_chunks(model, inputs, edges, out)
     if not np.isfinite(out).all():
         raise NonFiniteError("forward: non-finite predictions")
     return out
+
+
+def _chunk_edges(rows: int, weights) -> list:
+    """Row edges of ``forward``'s chunks, from 0 to ``rows``."""
+    # the fewest rows above the cutoff in every matrix-matrix layer, then the
+    # fewest whole tiles holding them (ceiling division)
+    least = max((_SMALL_PRODUCT // w.size + 1 for w in weights if w.shape[1] > 1), default=1)
+    tiles = rows // _TILE_ROWS
+    k = max(1, tiles // -(-least // _TILE_ROWS))
+    return [_TILE_ROWS * (i * tiles // k) for i in range(k)] + [rows]
+
+
+def _run_chunks(model: MlpModel, inputs: np.ndarray, edges, out: np.ndarray) -> None:
+    """Rows ``edges[j]:edges[j + 1]`` of ``inputs`` through the layer chain,
+    chunk by chunk, into the same rows of ``out``."""
+    most = max(b - a for a, b in zip(edges, edges[1:]))
+    zs = [np.empty((most, w.shape[1])) for w in model.weights]
+    for start, stop in zip(edges, edges[1:]):
+        chunk = [z[: stop - start] for z in zs]
+        _layer_chain(inputs[start:stop], model, chunk)
+        out[start:stop] = chunk[-1][:, 0]
 
 
 def _two_cpus_one_blas_thread() -> bool:

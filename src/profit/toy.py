@@ -45,7 +45,8 @@ class ToyDataConfig:
     Input coordinates are drawn independently from U[domain_low, domain_high]
     per axis; targets get N(0, noise_std^2) noise added.  Every point's
     squared norm must be finite, so ``target_function`` is finite on the
-    whole domain.
+    whole domain, and 64 standard deviations of noise must be finite, so
+    every target drawn is.
     """
 
     domain_low: float
@@ -69,6 +70,11 @@ class ToyDataConfig:
             )
         if not (np.isfinite(self.noise_std) and self.noise_std >= 0):
             raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
+        # a standard normal draw beyond 64 has probability below 1e-800
+        if not math.isfinite(64.0 * self.noise_std):
+            raise ValueError(
+                f"noise_std {self.noise_std!r} is too large: 64 standard deviations overflow"
+            )
 
 
 ORIGINAL_DOMAIN = ToyDataConfig(-1.0, 1.0)

@@ -16,12 +16,13 @@ def test_import_pins_openblas_to_one_thread():
 def test_core_name_is_a_nonempty_str_or_none():
     """The kernel family names the build ``mlp.forward``'s bit-exactness rules
     were checked on (SkylakeX); the log keeps it beside every run's results,
-    with the CPUs this process may run on and whether grid blocks split."""
+    with the CPUs this process may run on and whether grid forwards run on
+    two threads."""
     name = blas.core_name()
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
     print(
         f"OpenBLAS core: {name}; CPU affinity: {cpus}; "
-        f"forward splits blocks: {mlp._two_cpus_one_blas_thread()}"
+        f"forward runs chunks on two threads: {mlp._two_cpus_one_blas_thread()}"
     )
     assert name is None or (isinstance(name, str) and name)
     assert (name is None) == (blas.thread_count() is None)
@@ -30,8 +31,8 @@ def test_core_name_is_a_nonempty_str_or_none():
 @pytest.mark.parametrize("width", [32, 500])
 def test_a_blas_without_the_openblas_symbols(width, monkeypatch):
     """MKL or Accelerate export none of the symbols: nothing is pinned or
-    reported, grid blocks never split, and a grid forward keeps its bits (at
-    500 wide a block splits with the real symbols on two CPUs)."""
+    reported, a grid forward runs on one thread and keeps its bits (at 500
+    wide its chunks run on two threads with the real symbols on two CPUs)."""
     model = mlp.init_model((2, width, width, 1), toy.make_rng(0))
     grid = toy.evaluation_grid(toy.ORIGINAL_DOMAIN)
     real = mlp.forward(model, grid)

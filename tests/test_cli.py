@@ -578,6 +578,23 @@ def test_evaluate_of_a_domain_whose_target_overflows_is_a_config_error(trained, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["original.noise_std", "new.noise_std"])
+def test_a_noise_std_whose_64_deviations_overflow_is_a_config_error(key, tmp_path, capsys):
+    """With 1e308 the noise overflows to inf and the first batch fails: the
+    config does not load and nothing is trained; 1e300 still loads."""
+    cfg = tmp_path / "noisy.cfg"
+    cfg.write_text(config_text({key: "1e308"}))
+    out = tmp_path / "out"
+    assert run_cli(*baseline_args(cfg, out)) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: noise_std 1e+308 is too large")
+    assert captured.out == ""
+    assert not out.exists()
+    cfg.write_text(config_text({key: "1e300"}))
+    assert getattr(load_config(cfg).plan, key.split(".")[0]).noise_std == 1e300
+
+
 def test_evaluate_on_a_digest_flipped_checkpoint_exits_two(trained, tmp_path, capsys):
     blob = bytearray(trained.read_bytes())
     blob[-1] ^= 0x80  # the digest's last hex character is no longer UTF-8

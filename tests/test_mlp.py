@@ -1,9 +1,14 @@
 """Network forward/backward correctness against hand and finite-difference oracles."""
 
+import inspect
+import json
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -131,13 +136,13 @@ def short_baseline() -> MlpModel:
     return toy.train_baseline(plan, 0)
 
 
-# 2-32-32-1 is the golden plan, 2-8-8-1 and 2-6-5-1 the CLI's.  In blocks of
-# 2,016 rows, widths 18-20, 199 and 255 lose the one-pass bits (a layer takes
-# OpenBLAS's small-matrix kernel), 51 does in blocks of 512 rows and 100 in
-# blocks of 256; at 5,040 rows, 11 and 14 cross that kernel's cutoff and must
-# still agree.
+# 2-32-32-1 is the golden plan, 2-8-8-1 and 2-6-5-1 the CLI's; these three
+# and 11, 14 and 51 forward a grid as one pass.  199 forwards it in 3 chunks,
+# 255 in 5 and 1,000 in 19 chunks of 504-544 rows.  In blocks of 2,016 rows,
+# widths 18-20, 199 and 255 lost the one-pass bits (a layer took OpenBLAS's
+# small-matrix kernel), 51 did in blocks of 512 rows and 100 in blocks of 256.
 GRID_DIMS = [(2, 32, 32, 1), (2, 8, 8, 1), (2, 6, 5, 1)] + [
-    (2, w, w, 1) for w in (11, 14, 18, 19, 20, 51, 100, 199, 255)
+    (2, w, w, 1) for w in (11, 14, 18, 19, 20, 51, 100, 199, 255, 1_000)
 ]
 
 
@@ -148,7 +153,8 @@ GRID_DIMS = [(2, 32, 32, 1), (2, 8, 8, 1), (2, 6, 5, 1)] + [
     ids=["500-wide-init", "500-wide-baseline"] + ["-".join(map(str, d)) for d in GRID_DIMS],
 )
 def test_forward_on_both_grids_equals_the_one_call_chain_bit_for_bit(make_model):
-    """The grid goes through in blocks of 5,040 and 4,960 rows, with the bits of one pass."""
+    """At 500 wide the grid goes through in 9 chunks of 1,104-1,144 rows, with
+    the bits of one pass."""
     model = make_model()
     for domain in (toy.ORIGINAL_DOMAIN, toy.NEW_DOMAIN):
         grid = toy.evaluation_grid(domain)
@@ -156,30 +162,52 @@ def test_forward_on_both_grids_equals_the_one_call_chain_bit_for_bit(make_model)
         assert forward(model, grid).tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("rows", [1, 128, 5_040])
-def test_forward_of_up_to_one_block_is_the_one_call_chain(rows):
+@pytest.mark.parametrize("rows", [1, 128, 1_008, 2_015])
+def test_forward_too_short_for_two_chunks_is_the_one_call_chain(rows):
+    """At 500 wide a chunk needs 42 tiles (1,008 rows): below 84 whole tiles
+    the input is one pass."""
     model = init_model(LAYER_DIMS, np.random.default_rng(4))
     x = np.random.default_rng(rows).uniform(-1.0, 1.0, size=(rows, 2))
+    assert mlp._chunk_edges(rows, model.weights) == [0, rows]
     assert forward(model, x).tobytes() == one_call_chain(model, x).tobytes()
 
 
+def test_chunks_are_near_equal_runs_of_whole_tiles():
+    """Each chunk keeps every matrix-matrix layer above the small-matrix cutoff;
+    the one-column last layer (1,104 * 500 = 552,000) is exempt."""
+    weights = init_model(LAYER_DIMS, np.random.default_rng(4)).weights
+    edges = mlp._chunk_edges(10_000, weights)
+    sizes = [b - a for a, b in zip(edges, edges[1:])]
+    assert sizes == [1_104] * 4 + [1_128] + [1_104] * 3 + [1_144]
+    assert all(a % mlp._TILE_ROWS == 0 for a in edges[:-1])
+    assert mlp._chunk_edges(2_016, weights) == [0, 1_008, 2_016]
+    assert mlp._chunk_edges(2_039, weights) == [0, 1_008, 2_039]
+    wide = init_model((2, 1_000, 1_000, 1), np.random.default_rng(4)).weights
+    assert min(np.diff(mlp._chunk_edges(10_000, wide))) * 2 * 1_000 > mlp._SMALL_PRODUCT
+
+
 def forward_on(split: bool, monkeypatch, model, inputs) -> np.ndarray:
-    """``forward`` with its two-thread layers forced on or off."""
+    """``forward`` with its two-thread chunks forced on or off."""
     monkeypatch.setattr(mlp, "_two_cpus_one_blas_thread", lambda: split)
     return forward(model, inputs)
 
 
-def worker_layer_calls(monkeypatch) -> list:
-    """Wrap ``mlp._layer_chain``; returns the growing list of rows it ran off the main thread."""
+def layer_calls(monkeypatch) -> list:
+    """Wrap ``mlp._layer_chain``; returns the growing list of ``(on the main
+    thread, rows, address of the first layer's buffer)`` of its calls."""
     calls, chain = [], mlp._layer_chain
 
-    def recorded(h, *args):
-        if threading.current_thread() is not threading.main_thread():
-            calls.append(len(h))
-        chain(h, *args)
+    def recorded(h, model, zs):
+        on_main = threading.current_thread() is threading.main_thread()
+        calls.append((on_main, len(h), zs[0].__array_interface__["data"][0]))
+        chain(h, model, zs)
 
     monkeypatch.setattr(mlp, "_layer_chain", recorded)
     return calls
+
+
+def worker_rows(calls) -> list:
+    return [rows for on_main, rows, _ in calls if not on_main]
 
 
 @pytest.mark.parametrize(
@@ -188,32 +216,40 @@ def worker_layer_calls(monkeypatch) -> list:
     ids=["500-wide-init", "500-wide-baseline"],
 )
 def test_two_thread_forward_of_both_grids_equals_one_thread(make_model, monkeypatch):
-    """Each block runs its layer chain as two row halves (2,520 + 2,520 and
-    2,472 + 2,488 rows), with the bytes of the one-thread path."""
+    """The calling thread runs the first 5 chunks and the worker the last 4,
+    each thread reusing one buffer per layer, with the bytes of the one-thread
+    path, which runs all 9 chunks through one buffer per layer."""
     model = make_model()
-    worker_rows = worker_layer_calls(monkeypatch)
+    calls = layer_calls(monkeypatch)
     for domain in (toy.ORIGINAL_DOMAIN, toy.NEW_DOMAIN):
         grid = toy.evaluation_grid(domain)
+        calls.clear()
         expected = forward_on(False, monkeypatch, model, grid)
-        worker_rows.clear()
+        assert [on_main for on_main, _, _ in calls] == [True] * 9
+        assert len({address for _, _, address in calls}) == 1
+        calls.clear()
         assert forward_on(True, monkeypatch, model, grid).tobytes() == expected.tobytes()
-        assert worker_rows == [2_520, 2_488]
+        assert [rows for on_main, rows, _ in calls if on_main] == [1_104] * 4 + [1_128]
+        assert worker_rows(calls) == [1_104, 1_104, 1_104, 1_144]
+        for thread in (True, False):
+            assert len({address for on_main, _, address in calls if on_main == thread}) == 1
 
 
-@pytest.mark.parametrize("rows", [5_041, 7_000, 20_000])
+@pytest.mark.parametrize("rows", [5_040, 5_041, 5_064, 6_000, 7_000, 12_345, 20_000])
 def test_two_thread_forward_equals_one_thread_on_other_row_counts(rows, monkeypatch):
-    """Tail blocks of 1 and 1,960 rows have a layer whose half would fall to the
-    small-matrix kernel, so they stay on one thread; whole blocks and the
-    4,880-row tail of 20,000 split with unchanged bytes."""
+    """Both paths give the one-pass bits, also where 5,040-row blocks left a
+    tail of 1, 24 or 960 rows whose first or last layer took the small-matrix
+    kernel (5,041, 5,064 and 6,000 rows)."""
     model = init_model(LAYER_DIMS, np.random.default_rng(5))
     x = np.random.default_rng(rows).uniform(-1.0, 1.0, size=(rows, 2))
-    expected = forward_on(False, monkeypatch, model, x)
-    assert forward_on(True, monkeypatch, model, x).tobytes() == expected.tobytes()
+    expected = one_call_chain(model, x).tobytes()
+    assert forward_on(False, monkeypatch, model, x).tobytes() == expected
+    assert forward_on(True, monkeypatch, model, x).tobytes() == expected
 
 
 def failing_chain(monkeypatch, failing_part: str, finished: list) -> None:
     """Patch ``mlp._layer_chain`` to raise in the ``"worker"`` or ``"calling"``
-    part; the worker's part, when it runs, is slow and records its rows."""
+    part; the worker's chunks, when they run, are slow and record their rows."""
     chain = mlp._layer_chain
 
     def patched(h, *args):
@@ -221,7 +257,7 @@ def failing_chain(monkeypatch, failing_part: str, finished: list) -> None:
         if on_main == (failing_part == "calling"):
             raise RuntimeError(f"{failing_part} part failed")
         if not on_main:
-            time.sleep(0.2)
+            time.sleep(0.1)
         chain(h, *args)
         finished.append(len(h))
 
@@ -229,39 +265,43 @@ def failing_chain(monkeypatch, failing_part: str, finished: list) -> None:
 
 
 def test_an_error_in_the_worker_part_propagates_and_forward_still_works(monkeypatch):
+    """The worker stops at its first chunk's error; the calling thread still
+    runs its own 5 chunks, then raises the worker's error."""
     model = init_model(LAYER_DIMS, np.random.default_rng(6))
     grid = toy.evaluation_grid(toy.ORIGINAL_DOMAIN)
     expected = forward_on(True, monkeypatch, model, grid)
     chain = mlp._layer_chain
-    failing_chain(monkeypatch, "worker", [])
+    finished = []
+    failing_chain(monkeypatch, "worker", finished)
     with pytest.raises(RuntimeError, match="worker part failed"):
         forward(model, grid)
+    assert finished == [1_104] * 4 + [1_128]
     monkeypatch.setattr(mlp, "_layer_chain", chain)
     assert forward(model, grid).tobytes() == expected.tobytes()
 
 
 def test_an_error_in_the_calling_part_waits_for_the_worker_part(monkeypatch):
-    """The worker writes into the block's outputs, so forward never returns or
-    raises while the worker's part still runs."""
+    """The worker writes into the call's outputs, so forward never returns or
+    raises while any of the worker's chunks still runs."""
     model = init_model(LAYER_DIMS, np.random.default_rng(7))
     grid = toy.evaluation_grid(toy.ORIGINAL_DOMAIN)
     finished = []
     failing_chain(monkeypatch, "calling", finished)
     with pytest.raises(RuntimeError, match="calling part failed"):
         forward_on(True, monkeypatch, model, grid)
-    assert finished == [2_520]
+    assert finished == [1_104, 1_104, 1_104, 1_144]
 
 
 @pytest.mark.parametrize("failing_part", [None, "worker", "calling"])
 def test_no_thread_outlives_a_two_thread_forward(failing_part, monkeypatch):
-    """The worker lives for one block: none is left after forward returns or raises."""
+    """The worker lives for one call: none is left after forward returns or raises."""
     model = init_model(LAYER_DIMS, np.random.default_rng(9))
     grid = toy.evaluation_grid(toy.NEW_DOMAIN)
     before = threading.active_count()
-    worker_rows = worker_layer_calls(monkeypatch)
+    calls = layer_calls(monkeypatch)
     if failing_part is None:
         forward_on(True, monkeypatch, model, grid)
-        assert worker_rows == [2_520, 2_488]
+        assert worker_rows(calls) == [1_104, 1_104, 1_104, 1_144]
     else:
         failing_chain(monkeypatch, failing_part, [])
         with pytest.raises(RuntimeError, match=f"{failing_part} part failed"):
@@ -296,6 +336,50 @@ def test_a_child_forked_after_a_two_thread_forward_forwards_the_same_bits(
         pytest.fail("the forked child hung in forward")
     assert os.waitstatus_to_exitcode(done[1]) == 0
     assert path.read_bytes() == expected.tobytes()
+
+
+KERNEL_CHECK = """
+import json
+import numpy as np
+from profit import blas, mlp, toy
+
+mismatched = []
+for dims in (mlp.LAYER_DIMS, (2, 32, 32, 1)):
+    model = mlp.init_model(dims, np.random.default_rng(0))
+    for domain in (toy.ORIGINAL_DOMAIN, toy.NEW_DOMAIN):
+        grid = toy.evaluation_grid(domain)
+        expected = one_call_chain(model, grid).tobytes()
+        for split in (False, True):
+            mlp._two_cpus_one_blas_thread = lambda: split
+            if mlp.forward(model, grid).tobytes() != expected:
+                mismatched.append(f"{dims} on [{domain.domain_low}, {domain.domain_high}], "
+                                  f"two threads {split}")
+print(json.dumps({"core": blas.core_name(), "mismatched": mismatched}))
+"""
+
+
+@pytest.mark.parametrize(
+    "kernel", [None, "Haswell", "Sandybridge"], ids=["default", "Haswell", "Sandybridge"]
+)
+def test_grid_forwards_equal_the_one_call_chain_on_each_kernel(kernel):
+    """In a fresh process on the default kernel and with ``OPENBLAS_CORETYPE``
+    forcing Haswell and Sandybridge, the forced kernel runs, and the 500-wide
+    and 2-32-32-1 grid forwards, on one and two threads, give the one-call
+    chain's bits."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    if kernel:
+        env["OPENBLAS_CORETYPE"] = kernel
+    src = str(Path(mlp.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import numpy as np\n" + inspect.getsource(one_call_chain) + KERNEL_CHECK
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, f"kernel {kernel or 'default'}: {proc.stderr}"
+    result = json.loads(proc.stdout.splitlines()[-1])
+    core = result["core"]
+    assert core and core == (kernel or core), f"OPENBLAS_CORETYPE={kernel} ran kernel {core}"
+    assert result["mismatched"] == [], f"kernel {core} changed the bits"
 
 
 # ---------------------------------------------------------------- loss

@@ -102,6 +102,17 @@ def test_data_config_accepts_the_largest_domain_with_a_finite_target():
     assert np.isfinite(sample_batch(config, make_rng(0), 64).targets).all()
 
 
+def test_data_config_rejects_a_noise_std_whose_64_deviations_overflow():
+    """``noise_std * noise`` must stay finite for every draw: 64 * 1e308 and
+    64 * 2.81e306 overflow, while 2.8e306 and 1e300 load and sample."""
+    for std in (1e308, 2.81e306):
+        with pytest.raises(ValueError, match=re.escape(f"noise_std {std!r} is too large")):
+            ToyDataConfig(-1.0, 1.0, noise_std=std)
+    for std in (2.8e306, 1e300):
+        config = ToyDataConfig(-1.0, 1.0, noise_std=std)
+        assert np.isfinite(sample_batch(config, make_rng(0), 64).targets).all()
+
+
 def test_sample_batch_statistics():
     """Seeded draw: inputs uniform over the square, unit gaussian noise."""
     n = 200_000
@@ -168,9 +179,10 @@ def test_zero_model_grid_errors_match_frozen_values():
     assert evaluate_error(model, NEW_DOMAIN) == pytest.approx(0.5058618407081682, abs=1e-15)
 
 
-def test_full_width_grid_error_peaks_at_one_row_block():
-    """One 500-wide grid score holds one 5,040-row block's two activations
-    (about 40 MB traced), not the whole grid's (80 MB)."""
+def test_full_width_grid_error_peaks_at_one_chunk_buffer_per_thread():
+    """One 500-wide grid score holds at most two threads' chunk buffers, each
+    one 1,144-row chunk's activations (about 18 MB traced), not the whole
+    grid's (80 MB)."""
     model = init_model(LAYER_DIMS, make_rng(0, 0))
     evaluate_error(model, ORIGINAL_DOMAIN)  # warm-up
     tracemalloc.start()
@@ -179,7 +191,7 @@ def test_full_width_grid_error_peaks_at_one_row_block():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 45e6, f"peak {peak} bytes"
+    assert peak < 20e6, f"peak {peak} bytes"
 
 
 # ------------------------------------------------------------ head block
