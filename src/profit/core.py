@@ -81,6 +81,35 @@ class ProfitStepTrace:
     CSV_HEADER = "step,omega,projected,delta_norm,g_norm,batches_consumed,degenerate"
 
 
+def summarize_traces(traces) -> dict:
+    """Why a run's gate fired, from its per-step traces.
+
+    ``steps``, ``projected_frac`` and ``degenerate_steps`` count the traces.
+    ``cos_p10``, ``cos_p50`` and ``cos_p90`` are the 10th, 50th and 90th
+    percentiles (numpy's linear interpolation) of cos(delta, g) = ``omega /
+    (delta_norm * g_norm)`` over the steps whose norm product is finite and
+    positive; ``median_kept_share`` is the median, over those steps that were
+    projected, of sqrt(max(0, 1 - cos**2)), the share of the gradient's norm
+    that the projection keeps.  A statistic with no eligible step is ``None``.
+    """
+    omega = np.array([t.omega for t in traces], dtype=np.float64)
+    scale = np.array([t.delta_norm * t.g_norm for t in traces], dtype=np.float64)
+    projected = np.array([t.projected for t in traces], dtype=bool)
+    eligible = np.isfinite(scale) & (scale > 0.0)
+    cos = omega[eligible] / scale[eligible]
+    kept = np.sqrt(np.maximum(0.0, 1.0 - cos[projected[eligible]] ** 2))
+    p10, p50, p90 = np.percentile(cos, (10, 50, 90)).tolist() if len(cos) else (None,) * 3
+    return {
+        "steps": len(traces),
+        "projected_frac": float(projected.mean()) if len(traces) else None,
+        "degenerate_steps": sum(t.degenerate for t in traces),
+        "cos_p10": p10,
+        "cos_p50": p50,
+        "cos_p90": p90,
+        "median_kept_share": float(np.median(kept)) if len(kept) else None,
+    }
+
+
 def _next_batch(batch_source: Iterator, needed: int):
     try:
         return next(batch_source)

@@ -101,9 +101,9 @@ def init_model(dims, rng: np.random.Generator) -> MlpModel:
     return MlpModel(tuple(weights), biases)
 
 
-# ``forward``'s chunks are whole numbers of OpenBLAS's SkylakeX 24-row tiles,
-# so a chunk's rows are tiled as in one whole-input product; only the last
-# chunk holds a partial tile.
+# ``forward``'s chunks, and the runs within them, are whole numbers of
+# OpenBLAS's SkylakeX 24-row tiles, so their rows are tiled as in one
+# whole-input product; only the last chunk's last run holds a partial tile.
 _TILE_ROWS = 24
 # OpenBLAS's small-matrix kernel takes products of rows * fan_in * fan_out at
 # or below this, and sums their rows in another order.  Every chunk keeps each
@@ -112,6 +112,14 @@ _TILE_ROWS = 24
 # which has no small-matrix path, and every tile-aligned run of rows tried
 # (24-1,992 rows from 54 starts, 500 wide) gave the whole input's bits.
 _SMALL_PRODUCT = 10**6
+# The layers after the first run over at most this many tiles at a time, so a
+# thread holds one chunk-sized first-layer buffer and run-sized buffers for the
+# rest.  Every product repacks its weight, so shorter runs cost time: on one
+# thread a 500-wide grid forward took 85.3-86.1 ms in runs of 16 tiles and
+# 87.0-87.5 ms in runs of 10, against 84.9-85.7 ms over whole chunks (medians
+# of 15 interleaved calls).  Runs of 16 cut a score's traced peak from 18.6 to
+# 12.6 MB.
+_RUN_TILES = 16
 
 
 def forward(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
@@ -123,7 +131,11 @@ def forward(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
     the last chunk; an input too short for two chunks is one pass.  At 500
     wide a chunk needs 42 tiles (1,008 rows), so a 10,000-point grid is 9
     chunks of 1,104-1,144 rows and every training batch is one pass.  Each
-    chunk's products then sum every row as one whole-input pass does.  On
+    chunk's first layer runs over the whole chunk, and the later layers run
+    over near-equal runs of at most 16 whole tiles, each keeping every later
+    matrix-matrix layer above the cutoff (a chunk too short for two such runs
+    is one run): at 500 wide a 1,104-row chunk is runs of 360, 360 and 384
+    rows.  Each product then sums every row as one whole-input pass does.  On
     OpenBLAS 0.3.31 with one BLAS thread, with the chunks on one and on two
     threads, the one-pass bits held under the SkylakeX kernel on both grids
     at every width tried (2-w-w-1 for w in 1-79, 80-695 in steps of 7, 512
@@ -135,9 +147,10 @@ def forward(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
     calling thread runs the first half of the chunks (rounded up) and one
     worker thread, living for this call alone, runs the rest; leaving the
     executor's ``with`` waits for the worker, also when the calling part
-    raises.  Each thread reuses one buffer per layer, sized for its largest
-    chunk, so a 500-wide grid holds about 18 MB of activations, not the 80 MB
-    of one pass.  ``backward`` never chunks.
+    raises.  Each thread reuses one first-layer buffer, sized for its largest
+    chunk, and one buffer per later layer, sized for its largest run, so a
+    500-wide grid holds about 12 MB of activations, not the 18 MB of whole
+    chunks or the 80 MB of one pass.  ``backward`` never chunks.
 
     Raises ``NonFiniteError`` when a prediction is not finite.
     """
@@ -159,23 +172,47 @@ def forward(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
 
 def _chunk_edges(rows: int, weights) -> list:
     """Row edges of ``forward``'s chunks, from 0 to ``rows``."""
-    # the fewest rows above the cutoff in every matrix-matrix layer, then the
-    # fewest whole tiles holding them (ceiling division)
-    least = max((_SMALL_PRODUCT // w.size + 1 for w in weights if w.shape[1] > 1), default=1)
+    return _tile_edges(rows, max(1, rows // _TILE_ROWS // _least_tiles(weights)))
+
+
+def _run_edges(rows: int, weights) -> list:
+    """Row edges, within one chunk, of the runs that the layers after the first
+    go through: the fewest runs of at most ``_RUN_TILES`` tiles, or one run
+    when such runs would leave a later matrix-matrix layer at or below the
+    cutoff."""
     tiles = rows // _TILE_ROWS
-    k = max(1, tiles // -(-least // _TILE_ROWS))
+    k = -(-tiles // _RUN_TILES)
+    return _tile_edges(rows, k if 0 < k * _least_tiles(weights[1:]) <= tiles else 1)
+
+
+def _least_tiles(weights) -> int:
+    """The fewest whole tiles whose rows keep every matrix-matrix layer of
+    ``weights`` above the cutoff."""
+    least = max((_SMALL_PRODUCT // w.size + 1 for w in weights if w.shape[1] > 1), default=1)
+    return -(-least // _TILE_ROWS)
+
+
+def _tile_edges(rows: int, k: int) -> list:
+    """Edges of ``k`` near-equal runs of whole tiles, the partial tile in the last."""
+    tiles = rows // _TILE_ROWS
     return [_TILE_ROWS * (i * tiles // k) for i in range(k)] + [rows]
 
 
 def _run_chunks(model: MlpModel, inputs: np.ndarray, edges, out: np.ndarray) -> None:
     """Rows ``edges[j]:edges[j + 1]`` of ``inputs`` through the layer chain,
-    chunk by chunk, into the same rows of ``out``."""
-    most = max(b - a for a, b in zip(edges, edges[1:]))
-    zs = [np.empty((most, w.shape[1])) for w in model.weights]
-    for start, stop in zip(edges, edges[1:]):
-        chunk = [z[: stop - start] for z in zs]
-        _layer_chain(inputs[start:stop], model, chunk)
-        out[start:stop] = chunk[-1][:, 0]
+    chunk by chunk, into the same rows of ``out``: the first layer over the
+    whole chunk, the later layers over its runs."""
+    chunks = [(a, b, _run_edges(b - a, model.weights)) for a, b in zip(edges, edges[1:])]
+    first = np.empty((max(b - a for a, b, _ in chunks), model.weights[0].shape[1]))
+    most = max(b - a for _, _, runs in chunks for a, b in zip(runs, runs[1:]))
+    later = [np.empty((most, w.shape[1])) for w in model.weights[1:]]
+    for start, stop, runs in chunks:
+        h = first[: stop - start]
+        _layer_chain(inputs[start:stop], model, [h])
+        for a, b in zip(runs, runs[1:]):
+            zs = [h[a:b]] + [z[: b - a] for z in later]  # each layer's output rows
+            _layer_chain(zs[0], model, zs[1:], 1)
+            out[start + a : start + b] = zs[-1][:, 0]
 
 
 def _two_cpus_one_blas_thread() -> bool:
@@ -183,13 +220,14 @@ def _two_cpus_one_blas_thread() -> bool:
     return len(cpus) >= 2 and blas.thread_count() == 1
 
 
-def _layer_chain(h, model: MlpModel, zs) -> None:
-    """Rows ``h`` through every layer, each into its ``zs`` entry: product,
-    bias, then the rectifier on all but the last."""
-    last = len(zs) - 1
-    for i, (w, b, z) in enumerate(zip(model.weights, model.biases, zs)):
-        np.matmul(h, w, out=z)
-        z += b
+def _layer_chain(h, model: MlpModel, zs, first: int = 0) -> None:
+    """Rows ``h`` through layers ``first`` onward (0-based), one per ``zs``
+    entry and each into it: product, bias, then the rectifier on all but the
+    model's last layer."""
+    last = len(model.weights) - 1
+    for i, z in enumerate(zs, first):
+        np.matmul(h, model.weights[i], out=z)
+        z += model.biases[i]
         if i < last:
             np.maximum(z, 0.0, out=z)
         h = z

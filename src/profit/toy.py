@@ -395,18 +395,22 @@ def run_ablation_sweep(
     """Sweep a field of ``plan`` named in ``SWEEP_AXES``, in this process.
 
     Each value is cast to the type of the axis's defaults.  Every cell's plan
-    is built first: a value the plan rejects raises ``ConfigError`` before
-    anything trains.  Baselines are then trained once per seed and shared
-    across all swept values; each row aggregates one value's PROFIT
-    fine-tunes over the seeds.  ``baselines`` may carry pre-trained models
-    keyed by seed; it is only read.
+    is built first: a value that type does not hold exactly, or that the plan
+    rejects, raises ``ConfigError`` before anything trains.  Baselines are
+    then trained once per seed and shared across all swept values; each row
+    aggregates one value's PROFIT fine-tunes over the seeds, and its
+    ``value`` is the cast value that ran.  ``baselines`` may carry
+    pre-trained models keyed by seed; it is only read.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}, expected one of {tuple(SWEEP_AXES)}")
-    cells = []
+    kind, cells = type(SWEEP_AXES[axis][0]), []
     for value in SWEEP_AXES[axis] if values is None else values:
         try:
-            cells.append((value, replace(plan, **{axis: type(SWEEP_AXES[axis][0])(value)})))
+            ran = kind(value)
+            if ran != value and value == value:  # NaN is left to the plan's own check
+                raise ValueError(f"{kind.__name__}({value!r}) is {ran!r}")
+            cells.append((ran, replace(plan, **{axis: ran})))
         except ValueError as exc:
             raise ConfigError(f"sweep cell {axis} = {value!r} cannot run: {exc}") from None
     given = baselines or {}

@@ -16,6 +16,7 @@ from profit.core import (
     profit_workspace,
     run_plain_training,
     run_profit_training,
+    summarize_traces,
 )
 from profit.errors import BatchStreamExhaustedError, DimensionMismatchError, NonFiniteError
 from profit.paramvec import EPS_DEGENERATE, dot, norm
@@ -65,6 +66,80 @@ def test_trace_csv_header_order():
     assert ProfitStepTrace.CSV_HEADER == (
         "step,omega,projected,delta_norm,g_norm,batches_consumed,degenerate"
     )
+
+
+def trace(omega, projected, delta_norm, g_norm, degenerate=False):
+    return ProfitStepTrace(omega, projected, degenerate, delta_norm, g_norm, 2)
+
+
+def test_summary_of_no_traces_has_no_statistics():
+    assert summarize_traces([]) == {
+        "steps": 0,
+        "projected_frac": None,
+        "degenerate_steps": 0,
+        "cos_p10": None,
+        "cos_p50": None,
+        "cos_p90": None,
+        "median_kept_share": None,
+    }
+
+
+def test_summary_reads_cosines_and_kept_shares_off_the_traces():
+    """cos = omega / (delta_norm * g_norm) over steps with a finite positive
+    norm product: -0.5, 0.75 and -1 here; the degenerate step (delta_norm 0)
+    and the zero-gradient step drop out of the cosines but count as steps."""
+    summary = summarize_traces(
+        [
+            trace(-1.0, True, 1.0, 2.0),
+            trace(3.0, False, 2.0, 2.0),
+            trace(1e-30, False, 0.0, 1.0, degenerate=True),
+            trace(-4.0, True, 2.0, 2.0),
+            trace(0.0, False, 1.0, 0.0),
+        ]
+    )
+    assert summary["steps"] == 5
+    assert summary["projected_frac"] == 0.4
+    assert summary["degenerate_steps"] == 1
+    # linear interpolation over the sorted cosines -1, -0.5, 0.75
+    assert summary["cos_p10"] == pytest.approx(-0.9, abs=1e-15)
+    assert summary["cos_p50"] == -0.5
+    assert summary["cos_p90"] == pytest.approx(0.5, abs=1e-15)
+    # projected steps keep sqrt(1 - 0.25) and 0 of the gradient's norm
+    assert summary["median_kept_share"] == pytest.approx(np.sqrt(0.75) / 2, abs=1e-15)
+
+
+def test_summary_of_an_opposed_gradient_keeps_nothing():
+    """cos = -1 leaves no component orthogonal to delta; rounding past -1 is clipped."""
+    assert summarize_traces([trace(-4.0, True, 2.0, 2.0)])["median_kept_share"] == 0.0
+    assert summarize_traces([trace(-(1 + 1e-15), True, 1.0, 1.0)])["median_kept_share"] == 0.0
+
+
+def test_summary_with_only_zero_or_non_finite_norm_products_has_no_cosines():
+    summary = summarize_traces(
+        [
+            trace(0.0, False, 0.0, 0.0, degenerate=True),
+            trace(0.0, False, 1.0, 0.0),
+            trace(np.nan, False, np.inf, 0.0),
+        ]
+    )
+    assert summary["steps"] == 3 and summary["projected_frac"] == 0.0
+    assert summary["degenerate_steps"] == 1
+    assert [summary[k] for k in ("cos_p10", "cos_p50", "cos_p90", "median_kept_share")] == [
+        None
+    ] * 4
+
+
+def test_summary_of_a_run_counts_its_steps():
+    """A PROFIT run's traces summarize to its step and gate counts."""
+    center = np.array([1.0, -1.0])
+    config = sgd_config(n_ref=2)
+    _, traces, _ = run_profit_training(
+        np.zeros(2), config, 7, endless(), bowl_gradient(center)
+    )
+    summary = summarize_traces(traces)
+    assert summary["steps"] == 7
+    assert summary["projected_frac"] == sum(t.projected for t in traces) / 7
+    assert summary["degenerate_steps"] == sum(t.degenerate for t in traces)
 
 
 # ------------------------------------------------------------- the gate

@@ -186,6 +186,34 @@ def test_chunks_are_near_equal_runs_of_whole_tiles():
     assert min(np.diff(mlp._chunk_edges(10_000, wide))) * 2 * 1_000 > mlp._SMALL_PRODUCT
 
 
+# a 500-wide grid's chunks on each thread, and each chunk's runs
+CALLING_CHUNKS = [1_104] * 4 + [1_128]
+WORKER_CHUNKS = [1_104, 1_104, 1_104, 1_144]
+RUNS = {1_104: [360, 360, 384], 1_128: [360, 384, 384], 1_144: [360, 384, 400]}
+
+
+def test_later_layers_run_over_near_equal_runs_of_at_most_16_tiles():
+    """At 500 wide a chunk's later layers go through in runs of at most 16
+    tiles, the partial tile in the last run; 2-32-32-1's second layer needs 41
+    tiles (977 rows) per run, more than 16, so its chunks are one run, and
+    2-64-64-64-1's needs 11, so 17-21 tiles are one run and 22 are two."""
+    weights = init_model(LAYER_DIMS, np.random.default_rng(4)).weights
+    for rows, runs in RUNS.items():
+        assert np.diff(mlp._run_edges(rows, weights)).tolist() == runs
+    assert mlp._run_edges(384, weights) == [0, 384]
+    assert mlp._run_edges(407, weights) == [0, 407]
+    assert mlp._run_edges(408, weights) == [0, 192, 408]
+    assert mlp._run_edges(1, weights) == [0, 1]
+    narrow = init_model((2, 32, 32, 1), np.random.default_rng(4)).weights
+    assert mlp._run_edges(1_104, narrow) == [0, 1_104]
+    assert mlp._run_edges(10_000, narrow) == [0, 10_000]
+    deep = init_model((2, 64, 64, 64, 1), np.random.default_rng(4)).weights
+    assert mlp._run_edges(21 * 24, deep) == [0, 504]
+    assert mlp._run_edges(22 * 24, deep) == [0, 264, 528]
+    runs = np.diff(mlp._run_edges(10_000, deep))
+    assert max(runs) <= 16 * 24 + 23 and min(runs) * 64 * 64 > mlp._SMALL_PRODUCT
+
+
 def forward_on(split: bool, monkeypatch, model, inputs) -> np.ndarray:
     """``forward`` with its two-thread chunks forced on or off."""
     monkeypatch.setattr(mlp, "_two_cpus_one_blas_thread", lambda: split)
@@ -194,20 +222,35 @@ def forward_on(split: bool, monkeypatch, model, inputs) -> np.ndarray:
 
 def layer_calls(monkeypatch) -> list:
     """Wrap ``mlp._layer_chain``; returns the growing list of ``(on the main
-    thread, rows, address of the first layer's buffer)`` of its calls."""
+    thread, first layer, rows, addresses of the layer buffers)`` of its calls."""
     calls, chain = [], mlp._layer_chain
 
-    def recorded(h, model, zs):
+    def recorded(h, model, zs, first=0):
         on_main = threading.current_thread() is threading.main_thread()
-        calls.append((on_main, len(h), zs[0].__array_interface__["data"][0]))
-        chain(h, model, zs)
+        addresses = tuple(z.__array_interface__["data"][0] for z in zs)
+        calls.append((on_main, first, len(h), addresses))
+        chain(h, model, zs, first)
 
     monkeypatch.setattr(mlp, "_layer_chain", recorded)
     return calls
 
 
-def worker_rows(calls) -> list:
-    return [rows for on_main, rows, _ in calls if not on_main]
+def chain_calls(chunks) -> list:
+    """``(first layer, rows)`` of each ``_layer_chain`` call over these 500-wide
+    chunks: the first layer over each chunk, then the later layers over its runs."""
+    return [call for rows in chunks for call in [(0, rows)] + [(1, r) for r in RUNS[rows]]]
+
+
+def thread_calls(calls, on_main: bool) -> list:
+    return [(first, rows) for main, first, rows, _ in calls if main == on_main]
+
+
+def one_buffer_per_layer_and_thread(calls) -> bool:
+    """Every call of one thread at one first layer wrote into the same buffers."""
+    buffers = {}
+    for main, first, _, addresses in calls:
+        buffers.setdefault((main, first), set()).add(addresses)
+    return all(len(seen) == 1 for seen in buffers.values())
 
 
 @pytest.mark.parametrize(
@@ -217,22 +260,23 @@ def worker_rows(calls) -> list:
 )
 def test_two_thread_forward_of_both_grids_equals_one_thread(make_model, monkeypatch):
     """The calling thread runs the first 5 chunks and the worker the last 4,
-    each thread reusing one buffer per layer, with the bytes of the one-thread
-    path, which runs all 9 chunks through one buffer per layer."""
+    each chunk's first layer whole and its later layers in runs, each thread
+    reusing one buffer per layer, with the bytes of the one-thread path, which
+    runs all 9 chunks through one buffer per layer."""
     model = make_model()
     calls = layer_calls(monkeypatch)
     for domain in (toy.ORIGINAL_DOMAIN, toy.NEW_DOMAIN):
         grid = toy.evaluation_grid(domain)
         calls.clear()
         expected = forward_on(False, monkeypatch, model, grid)
-        assert [on_main for on_main, _, _ in calls] == [True] * 9
-        assert len({address for _, _, address in calls}) == 1
+        assert thread_calls(calls, True) == chain_calls(CALLING_CHUNKS + WORKER_CHUNKS)
+        assert thread_calls(calls, False) == []
+        assert one_buffer_per_layer_and_thread(calls)
         calls.clear()
         assert forward_on(True, monkeypatch, model, grid).tobytes() == expected.tobytes()
-        assert [rows for on_main, rows, _ in calls if on_main] == [1_104] * 4 + [1_128]
-        assert worker_rows(calls) == [1_104, 1_104, 1_104, 1_144]
-        for thread in (True, False):
-            assert len({address for on_main, _, address in calls if on_main == thread}) == 1
+        assert thread_calls(calls, True) == chain_calls(CALLING_CHUNKS)
+        assert thread_calls(calls, False) == chain_calls(WORKER_CHUNKS)
+        assert one_buffer_per_layer_and_thread(calls)
 
 
 @pytest.mark.parametrize("rows", [5_040, 5_041, 5_064, 6_000, 7_000, 12_345, 20_000])
@@ -249,17 +293,18 @@ def test_two_thread_forward_equals_one_thread_on_other_row_counts(rows, monkeypa
 
 def failing_chain(monkeypatch, failing_part: str, finished: list) -> None:
     """Patch ``mlp._layer_chain`` to raise in the ``"worker"`` or ``"calling"``
-    part; the worker's chunks, when they run, are slow and record their rows."""
+    part; the worker's chunks, when they run, are slow, and each call records
+    its ``(first layer, rows)``."""
     chain = mlp._layer_chain
 
-    def patched(h, *args):
+    def patched(h, model, zs, first=0):
         on_main = threading.current_thread() is threading.main_thread()
         if on_main == (failing_part == "calling"):
             raise RuntimeError(f"{failing_part} part failed")
-        if not on_main:
+        if not on_main and first == 0:
             time.sleep(0.1)
-        chain(h, *args)
-        finished.append(len(h))
+        chain(h, model, zs, first)
+        finished.append((first, len(h)))
 
     monkeypatch.setattr(mlp, "_layer_chain", patched)
 
@@ -275,21 +320,21 @@ def test_an_error_in_the_worker_part_propagates_and_forward_still_works(monkeypa
     failing_chain(monkeypatch, "worker", finished)
     with pytest.raises(RuntimeError, match="worker part failed"):
         forward(model, grid)
-    assert finished == [1_104] * 4 + [1_128]
+    assert finished == chain_calls(CALLING_CHUNKS)
     monkeypatch.setattr(mlp, "_layer_chain", chain)
     assert forward(model, grid).tobytes() == expected.tobytes()
 
 
 def test_an_error_in_the_calling_part_waits_for_the_worker_part(monkeypatch):
     """The worker writes into the call's outputs, so forward never returns or
-    raises while any of the worker's chunks still runs."""
+    raises while any of the worker's chunks or runs still runs."""
     model = init_model(LAYER_DIMS, np.random.default_rng(7))
     grid = toy.evaluation_grid(toy.ORIGINAL_DOMAIN)
     finished = []
     failing_chain(monkeypatch, "calling", finished)
     with pytest.raises(RuntimeError, match="calling part failed"):
         forward_on(True, monkeypatch, model, grid)
-    assert finished == [1_104, 1_104, 1_104, 1_144]
+    assert finished == chain_calls(WORKER_CHUNKS)
 
 
 @pytest.mark.parametrize("failing_part", [None, "worker", "calling"])
@@ -301,7 +346,7 @@ def test_no_thread_outlives_a_two_thread_forward(failing_part, monkeypatch):
     calls = layer_calls(monkeypatch)
     if failing_part is None:
         forward_on(True, monkeypatch, model, grid)
-        assert worker_rows(calls) == [1_104, 1_104, 1_104, 1_144]
+        assert thread_calls(calls, False) == chain_calls(WORKER_CHUNKS)
     else:
         failing_chain(monkeypatch, failing_part, [])
         with pytest.raises(RuntimeError, match=f"{failing_part} part failed"):
@@ -343,17 +388,21 @@ import json
 import numpy as np
 from profit import blas, mlp, toy
 
+grids = {f"[{d.domain_low}, {d.domain_high}]": toy.evaluation_grid(d)
+         for d in (toy.ORIGINAL_DOMAIN, toy.NEW_DOMAIN)}
 mismatched = []
-for dims in (mlp.LAYER_DIMS, (2, 32, 32, 1)):
+for dims in (mlp.LAYER_DIMS, (2, 32, 32, 1), (2, 64, 64, 64, 1), (2, 1)):
     model = mlp.init_model(dims, np.random.default_rng(0))
-    for domain in (toy.ORIGINAL_DOMAIN, toy.NEW_DOMAIN):
-        grid = toy.evaluation_grid(domain)
-        expected = one_call_chain(model, grid).tobytes()
+    inputs = dict(grids)
+    if dims == mlp.LAYER_DIMS:
+        inputs.update({f"{rows} rows": np.random.default_rng(rows).uniform(-1.0, 1.0, (rows, 2))
+                       for rows in (5_041, 12_345, 20_000)})
+    for name, x in inputs.items():
+        expected = one_call_chain(model, x).tobytes()
         for split in (False, True):
             mlp._two_cpus_one_blas_thread = lambda: split
-            if mlp.forward(model, grid).tobytes() != expected:
-                mismatched.append(f"{dims} on [{domain.domain_low}, {domain.domain_high}], "
-                                  f"two threads {split}")
+            if mlp.forward(model, x).tobytes() != expected:
+                mismatched.append(f"{dims} on {name}, two threads {split}")
 print(json.dumps({"core": blas.core_name(), "mismatched": mismatched}))
 """
 
@@ -363,9 +412,10 @@ print(json.dumps({"core": blas.core_name(), "mismatched": mismatched}))
 )
 def test_grid_forwards_equal_the_one_call_chain_on_each_kernel(kernel):
     """In a fresh process on the default kernel and with ``OPENBLAS_CORETYPE``
-    forcing Haswell and Sandybridge, the forced kernel runs, and the 500-wide
-    and 2-32-32-1 grid forwards, on one and two threads, give the one-call
-    chain's bits."""
+    forcing Haswell and Sandybridge, the forced kernel runs, and forwards on one
+    and two threads give the one-call chain's bits: both grids through the
+    500-wide, 2-32-32-1, 2-64-64-64-1 and single-layer models, and 5,041,
+    12,345 and 20,000 rows through the 500-wide one."""
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
     if kernel:
         env["OPENBLAS_CORETYPE"] = kernel
