@@ -19,13 +19,14 @@ the eval step.  ``train-baseline`` and ``finetune`` print the errors of the
 last metrics row when it was taken at the final step (``baseline.steps``, or
 ``finetune.steps``, plus ``profit.warmup_steps`` for PROFIT): that hook saw
 the weights that are saved.  Only otherwise, with no such row, are the grids
-forwarded again.  Exit codes: 0 success, 1 usage or config error, 2 runtime,
-checkpoint, numeric or out-of-memory error.  Config errors include PROFIT
-settings that cannot run (for any strategy), a domain whose squared norm
-overflows, a sweep cell that cannot run (found before any training), a
-negative ``--seed`` and a config file that cannot be read as text.  File
-writes go to a uniquely named temporary file that is then renamed over the
-target.
+forwarded again.  The checkpoint's step count adds that final step to the
+starting weights' count.  Exit codes: 0 success, 1 usage or config error,
+2 runtime, checkpoint, numeric or out-of-memory error.  Config errors
+include PROFIT settings that cannot run (for any strategy), a domain whose
+squared norm overflows, a sweep cell that cannot run (found before any
+training), a negative ``--seed`` and a config file that cannot be read as
+text.  File writes go to a uniquely named temporary file that is then
+renamed over the target.
 """
 
 import argparse
@@ -113,7 +114,8 @@ def _train_and_save(
     plan = cfg.plan
     baseline = strategy == "baseline"
     steps = plan.baseline_steps if baseline else plan.finetune_steps
-    Checkpoint.check_step_count(start_count + steps)
+    final_step = steps + (plan.warmup_steps if strategy == "profit" else 0)
+    Checkpoint.check_step_count(start_count + final_step)
     domains = ("original",) if baseline else ("original", "new")
     loss_cell = [math.nan]
 
@@ -123,9 +125,10 @@ def _train_and_save(
     theta, traces, metrics, stream_rng = toy.train(
         plan, seed, strategy, theta0, (hook,), cfg.values["eval_every"], loss_cell
     )
-    final_step = steps + (plan.warmup_steps if strategy == "profit" else 0)
 
-    ckpt = Checkpoint(plan.dims, theta, rng_state_of(stream_rng), start_count + steps, cfg.digest())
+    ckpt = Checkpoint(
+        plan.dims, theta, rng_state_of(stream_rng), start_count + final_step, cfg.digest()
+    )
     ckpt_path = out / f"{strategy}_seed{seed}.pfit"
     save_checkpoint(ckpt_path, ckpt)
     columns = ("step", "train_loss") + tuple(f"{domain}_error" for domain in domains)

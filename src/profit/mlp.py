@@ -128,9 +128,10 @@ def forward(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
     Rows go through in near-equal chunks of whole 24-row tiles, each the
     fewest tiles that keep every matrix-matrix layer's ``rows * fan_in *
     fan_out`` above the small-matrix cutoff (10**6), with the partial tile in
-    the last chunk; an input too short for two chunks is one pass.  At 500
-    wide a chunk needs 42 tiles (1,008 rows), so a 10,000-point grid is 9
-    chunks of 1,104-1,144 rows and every training batch is one pass.  Each
+    the last chunk; an input too short for two chunks, or a model with no
+    matrix-matrix layer, is one pass.  At 500 wide a chunk needs 42 tiles
+    (1,008 rows), so a 10,000-point grid is 9 chunks of 1,104-1,144 rows and
+    every training batch is one pass.  Each
     chunk's first layer runs over the whole chunk, and the later layers run
     over near-equal runs of at most 16 whole tiles, each keeping every later
     matrix-matrix layer above the cutoff (a chunk too short for two such runs
@@ -147,10 +148,14 @@ def forward(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
     calling thread runs the first half of the chunks (rounded up) and one
     worker thread, living for this call alone, runs the rest; leaving the
     executor's ``with`` waits for the worker, also when the calling part
-    raises.  Each thread reuses one first-layer buffer, sized for its largest
-    chunk, and one buffer per later layer, sized for its largest run, so a
-    500-wide grid holds about 12 MB of activations, not the 18 MB of whole
-    chunks or the 80 MB of one pass.  ``backward`` never chunks.
+    raises.  So no thread outlives a call or crosses a fork, and none spins
+    between products as OpenBLAS's own threads do.  Every product is a
+    single-thread BLAS call over one thread's rows, so the bits stay those of
+    one thread, whichever thread runs a chunk.  Each thread reuses one
+    first-layer buffer, sized for its largest chunk, and one buffer per later
+    layer, sized for its largest run, so a 500-wide grid holds about 12 MB of
+    activations, not the 18 MB of whole chunks or the 80 MB of one pass.
+    ``backward`` never chunks.
 
     Raises ``NonFiniteError`` when a prediction is not finite.
     """
@@ -171,8 +176,11 @@ def forward(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
 
 
 def _chunk_edges(rows: int, weights) -> list:
-    """Row edges of ``forward``'s chunks, from 0 to ``rows``."""
-    return _tile_edges(rows, max(1, rows // _TILE_ROWS // _least_tiles(weights)))
+    """Row edges of ``forward``'s chunks, from 0 to ``rows``: one chunk when no
+    layer is matrix-matrix, since a matrix-vector product has no small-matrix
+    path."""
+    least = _least_tiles(weights)
+    return _tile_edges(rows, max(1, rows // _TILE_ROWS // least) if least else 1)
 
 
 def _run_edges(rows: int, weights) -> list:
@@ -187,8 +195,8 @@ def _run_edges(rows: int, weights) -> list:
 
 def _least_tiles(weights) -> int:
     """The fewest whole tiles whose rows keep every matrix-matrix layer of
-    ``weights`` above the cutoff."""
-    least = max((_SMALL_PRODUCT // w.size + 1 for w in weights if w.shape[1] > 1), default=1)
+    ``weights`` above the cutoff; 0 when there is no such layer."""
+    least = max((_SMALL_PRODUCT // w.size + 1 for w in weights if w.shape[1] > 1), default=0)
     return -(-least // _TILE_ROWS)
 
 

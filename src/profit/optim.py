@@ -30,23 +30,21 @@ RMSProp stores squared-gradient averages below the smallest normal float
 zero (a dead rectifier unit) would otherwise decay its ``v`` entry into the
 subnormal range within about 6,500 steps and keep it there for good
 (``0.9 * 5e-324`` rounds back to ``5e-324``), and subnormal arithmetic
-makes every later update about twice as slow.  The flush leaves the weights
-bit-identical to the unflushed formula:
+makes every later update about twice as slow.  At the fixed constants below
+the flush leaves the weights bit-identical to the unflushed formula:
 
 - an entry ``v < tiny`` cannot move its weight, because ``sqrt(v) < 1.5e-154``
-  is below half an ulp of ``epsilon``, so ``sqrt(v) + epsilon == epsilon``;
+  is below half an ulp of ``EPSILON``, so ``sqrt(v) + EPSILON == EPSILON``;
 - a flushed entry merges back into the unflushed value at the first gradient
-  with ``(1 - rho) * g * g >= 2**-969`` (about 2e-292), since ``rho * v`` is
+  with ``(1 - RHO) * g * g >= 2**-969`` (about 2e-292), since ``RHO * v`` is
   then below half an ulp of the sum.
 
 Between a flush and that merge, nonzero gradients smaller than that keep
-``v`` below ``2**-969 / (1 - rho)``; the flush is applied only when the
-square root of that bound is still swamped by ``epsilon`` (about
-``epsilon >= 1e-129`` at ``rho = 0.9``), and skipped otherwise.  Such
-gradients (``|g|`` below about 1e-145) can leave ``v`` apart from the
-unflushed value in its last bits, as any reordering of the sum would.
-Adam keeps its subnormals: there a subnormal ``m`` can move a weight that
-sits at 0.
+``v`` below ``2**-969 / (1 - RHO)``, whose square root (about 1e-145) is
+still swamped by ``EPSILON``.  Such gradients (``|g|`` below about 1e-145)
+can leave ``v`` apart from the unflushed value in its last bits, as any
+reordering of the sum would, but never the weights.  Adam keeps its
+subnormals: there a subnormal ``m`` can move a weight that sits at 0.
 """
 
 import math
@@ -58,9 +56,14 @@ from .errors import DimensionMismatchError, NonFiniteError
 
 KINDS = ("sgd", "rmsprop", "adam")
 
+# the textbook constants: RMSProp's decay (Tieleman & Hinton, 2012) and
+# Adam's moment decays (Kingma & Ba, 2015); EPSILON guards both denominators
+RHO = 0.9
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
+
 _TINY = np.finfo(np.float64).tiny
-# (1 - rho) * g * g at or above this absorbs rho * v < _TINY exactly
-_MERGE = 2.0**-969
 # A step gathers the coordinates it can move when fewer than this share of
 # them can.  Measured at n = 252,501: gathering pays below about 1/8 for SGD,
 # whose dense step is three passes, and up to 1/4 for RMSProp and Adam.
@@ -71,11 +74,10 @@ _ACCUMULATORS = {"sgd": (), "rmsprop": ("v",), "adam": ("m", "v")}
 
 @dataclass(frozen=True)
 class OptimizerSpec:
-    """Algorithm choice plus its constants.
+    """Algorithm choice plus its learning-rate schedule.
 
-    ``learning_rate`` must be positive; the EMA decays (``rho`` for RMSProp,
-    ``beta1``/``beta2`` for Adam) must lie in [0, 1); ``epsilon`` must be
-    positive.  Constants irrelevant to ``kind`` are carried but unused.
+    ``learning_rate`` must be positive.  RMSProp and Adam run at the module
+    constants ``RHO``, ``BETA1``, ``BETA2`` and ``EPSILON``.
 
     ``decay`` applies classic inverse-time annealing: the rate used at update
     t (0-indexed) is learning_rate / (1 + decay * t).  Zero keeps the rate
@@ -84,10 +86,6 @@ class OptimizerSpec:
 
     kind: str
     learning_rate: float
-    rho: float = 0.9
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     decay: float = 0.0
 
     def __post_init__(self):
@@ -95,12 +93,6 @@ class OptimizerSpec:
             raise ValueError(f"unknown optimizer kind {self.kind!r}, expected one of {KINDS}")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate!r}")
-        for name in ("rho", "beta1", "beta2"):
-            val = getattr(self, name)
-            if not (0.0 <= val < 1.0):
-                raise ValueError(f"{name} must be in [0, 1), got {val!r}")
-        if not (np.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
         if not (np.isfinite(self.decay) and self.decay >= 0):
             raise ValueError(f"decay must be finite and >= 0, got {self.decay!r}")
 
@@ -113,19 +105,12 @@ def sgd(learning_rate: float) -> OptimizerSpec:
     return OptimizerSpec("sgd", learning_rate)
 
 
-def rmsprop(
-    learning_rate: float, rho: float = 0.9, epsilon: float = 1e-8, decay: float = 0.0
-) -> OptimizerSpec:
-    return OptimizerSpec("rmsprop", learning_rate, rho=rho, epsilon=epsilon, decay=decay)
+def rmsprop(learning_rate: float, decay: float = 0.0) -> OptimizerSpec:
+    return OptimizerSpec("rmsprop", learning_rate, decay=decay)
 
 
-def adam(
-    learning_rate: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    epsilon: float = 1e-8,
-) -> OptimizerSpec:
-    return OptimizerSpec("adam", learning_rate, beta1=beta1, beta2=beta2, epsilon=epsilon)
+def adam(learning_rate: float) -> OptimizerSpec:
+    return OptimizerSpec("adam", learning_rate)
 
 
 @dataclass
@@ -152,11 +137,6 @@ def init_state(spec: OptimizerSpec, n: int) -> OptimizerState:
     buffers = {name: np.zeros(n) for name in _ACCUMULATORS[spec.kind]}
     scratch = tuple(np.empty(n) for _ in range(1 if spec.kind == "sgd" else 2))
     return OptimizerState(spec=spec, n=n, t=0, buffers=buffers, scratch=scratch)
-
-
-def _flush_is_exact(spec: OptimizerSpec) -> bool:
-    """True when storing RMSProp's subnormal ``v`` as zero cannot change the weights."""
-    return math.sqrt(_MERGE / (1.0 - spec.rho)) + spec.epsilon == spec.epsilon
 
 
 def step(
@@ -230,37 +210,36 @@ def _update(spec: OptimizerSpec, t: int, theta, g, buffers: dict, scratch: tuple
         (update,) = scratch
         np.multiply(g, lr, out=update)
     elif spec.kind == "rmsprop":
-        # v = rho * v + (1 - rho) * g * g, subnormal entries then zeroed
-        # theta - lr * g / (sqrt(v) + eps)
+        # v = RHO * v + (1 - RHO) * g * g, subnormal entries then zeroed
+        # theta - lr * g / (sqrt(v) + EPSILON)
         c, update = scratch
         v = buffers["v"]
-        np.multiply(g, 1.0 - spec.rho, out=c)
+        np.multiply(g, 1.0 - RHO, out=c)
         c *= g
-        v *= spec.rho
+        v *= RHO
         v += c
-        if _flush_is_exact(spec):
-            np.multiply(v, v >= _TINY, out=v)  # v >= 0, so a flushed entry is +0.0
+        np.multiply(v, v >= _TINY, out=v)  # v >= 0, so a flushed entry is +0.0
         denom = np.sqrt(v, out=c)
-        denom += spec.epsilon
+        denom += EPSILON
         np.multiply(g, lr, out=update)
         update /= denom
     else:  # adam, bias-corrected
-        # m = beta1 * m + (1 - beta1) * g;  v = beta2 * v + (1 - beta2) * g * g
-        # theta - lr * (m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + eps)
+        # m = BETA1 * m + (1 - BETA1) * g;  v = BETA2 * v + (1 - BETA2) * g * g
+        # theta - lr * (m / (1 - BETA1**t)) / (sqrt(v / (1 - BETA2**t)) + EPSILON)
         update, denom = scratch
         m, v = buffers["m"], buffers["v"]
         t += 1
-        m *= spec.beta1
-        np.multiply(g, 1.0 - spec.beta1, out=update)
+        m *= BETA1
+        np.multiply(g, 1.0 - BETA1, out=update)
         m += update
-        v *= spec.beta2
-        np.multiply(g, 1.0 - spec.beta2, out=update)
+        v *= BETA2
+        np.multiply(g, 1.0 - BETA2, out=update)
         update *= g
         v += update
-        np.divide(m, 1.0 - spec.beta1**t, out=update)
+        np.divide(m, 1.0 - BETA1**t, out=update)
         update *= lr
-        np.divide(v, 1.0 - spec.beta2**t, out=denom)
+        np.divide(v, 1.0 - BETA2**t, out=denom)
         np.sqrt(denom, out=denom)
-        denom += spec.epsilon
+        denom += EPSILON
         update /= denom
     theta -= update

@@ -14,7 +14,7 @@ stream, stream 2 the new-domain fine-tuning stream.
 
 import math
 import time
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
@@ -387,30 +387,23 @@ class SweepTable(_CsvTable):
 
 
 def run_ablation_sweep(
-    plan: ExperimentPlan,
-    axis: str,
-    values: Sequence | None = None,
-    baselines: dict | None = None,
+    plan: ExperimentPlan, axis: str, baselines: dict | None = None
 ) -> SweepTable:
-    """Sweep a field of ``plan`` named in ``SWEEP_AXES``, in this process.
+    """Sweep a field of ``plan`` over its ``SWEEP_AXES`` entry, in this process.
 
-    Each value is cast to the type of the axis's defaults.  Every cell's plan
-    is built first: a value that type does not hold exactly, or that the plan
-    rejects, raises ``ConfigError`` before anything trains.  Baselines are
-    then trained once per seed and shared across all swept values; each row
-    aggregates one value's PROFIT fine-tunes over the seeds, and its
-    ``value`` is the cast value that ran.  ``baselines`` may carry
-    pre-trained models keyed by seed; it is only read.
+    Every cell's plan is built first: a value that the plan rejects (say an
+    ``lr_ratio`` whose reference rate underflows) raises ``ConfigError``
+    before anything trains.  Baselines are then trained once per seed and
+    shared across all swept values; each row aggregates one value's PROFIT
+    fine-tunes over the seeds.  ``baselines`` may carry pre-trained models
+    keyed by seed; it is only read.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}, expected one of {tuple(SWEEP_AXES)}")
-    kind, cells = type(SWEEP_AXES[axis][0]), []
-    for value in SWEEP_AXES[axis] if values is None else values:
+    cells = []
+    for value in SWEEP_AXES[axis]:
         try:
-            ran = kind(value)
-            if ran != value and value == value:  # NaN is left to the plan's own check
-                raise ValueError(f"{kind.__name__}({value!r}) is {ran!r}")
-            cells.append((ran, replace(plan, **{axis: ran})))
+            cells.append((value, replace(plan, **{axis: value})))
         except ValueError as exc:
             raise ConfigError(f"sweep cell {axis} = {value!r} cannot run: {exc}") from None
     given = baselines or {}

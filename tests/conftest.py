@@ -9,13 +9,12 @@ pinned run of that plan and must never be regenerated casually: a diff there
 means behavior changed.
 """
 
-import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from profit import toy
+from profit import optim, toy
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -59,15 +58,14 @@ def pure_step(spec, t: int, buffers: dict, theta: np.ndarray, g: np.ndarray):
     if spec.kind == "sgd":
         return theta - g * lr, {}
     if spec.kind == "rmsprop":
-        v = buffers["v"] * spec.rho + g * (1.0 - spec.rho) * g
-        if math.sqrt(2.0**-969 / (1.0 - spec.rho)) + spec.epsilon == spec.epsilon:
-            v = np.where(v < np.finfo(np.float64).tiny, 0.0, v)
-        return theta - g * lr / (np.sqrt(v) + spec.epsilon), {"v": v}
-    m = spec.beta1 * buffers["m"] + (1.0 - spec.beta1) * g
-    v = spec.beta2 * buffers["v"] + (1.0 - spec.beta2) * g * g
-    m_hat = m / (1.0 - spec.beta1 ** (t + 1))
-    v_hat = v / (1.0 - spec.beta2 ** (t + 1))
-    return theta - lr * m_hat / (np.sqrt(v_hat) + spec.epsilon), {"m": m, "v": v}
+        v = buffers["v"] * optim.RHO + g * (1.0 - optim.RHO) * g
+        v = np.where(v < np.finfo(np.float64).tiny, 0.0, v)
+        return theta - g * lr / (np.sqrt(v) + optim.EPSILON), {"v": v}
+    m = optim.BETA1 * buffers["m"] + (1.0 - optim.BETA1) * g
+    v = optim.BETA2 * buffers["v"] + (1.0 - optim.BETA2) * g * g
+    m_hat = m / (1.0 - optim.BETA1 ** (t + 1))
+    v_hat = v / (1.0 - optim.BETA2 ** (t + 1))
+    return theta - lr * m_hat / (np.sqrt(v_hat) + optim.EPSILON), {"m": m, "v": v}
 
 
 def zero_buffers(spec, n: int) -> dict:

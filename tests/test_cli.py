@@ -184,6 +184,17 @@ def test_finetune_warns_on_untrained_start(cfg_path, tmp_path, capsys):
     assert "assumes a trained starting point" in err
 
 
+def test_profit_checkpoint_counts_its_warmup_updates(tmp_path, trained, capsys):
+    """PROFIT takes warmup_steps main updates before its finetune.steps: the
+    checkpoint counts both, the printed ``steps=`` only the latter."""
+    cfg = tmp_path / "warmup.cfg"
+    cfg.write_text(config_text({"profit.warmup_steps": 3}))
+    out = tmp_path / "ft"
+    assert run_cli(*finetune_args(cfg, trained, out, "profit")) == 0
+    assert "profit seed=0 steps=12 " in capsys.readouterr().out
+    assert load_checkpoint(out / "profit_seed0.pfit").step_count == 40 + 3 + 12
+
+
 def test_finetune_rejects_architecture_mismatch(cfg_path, tmp_path, capsys):
     other = tmp_path / "other.pfit"
     save_checkpoint(
@@ -216,6 +227,27 @@ def test_finetune_past_the_largest_step_count_is_an_error_line(
     assert not list(out.glob("*.pfit"))
     assert trained_runs == []
 
+
+
+def test_profit_warmup_counts_toward_the_step_count_limit(tmp_path, trained, capsys, monkeypatch):
+    """From 2**64 - 15, 12 fine-tuning steps fit the format's u64, but 3 warmup
+    updates more do not: the error comes before any training."""
+    trained_runs = []
+    train = toy.train
+    monkeypatch.setattr(toy, "train", lambda *a: trained_runs.append(a) or train(*a))
+    ckpt = load_checkpoint(trained)
+    late = tmp_path / "late.pfit"
+    save_checkpoint(
+        late, Checkpoint(ckpt.dims, ckpt.weights, ckpt.rng_state, 2**64 - 15, ckpt.config_digest)
+    )
+    cfg = tmp_path / "warmup.cfg"
+    cfg.write_text(config_text({"profit.warmup_steps": 3}))
+    out = tmp_path / "ft"
+    assert run_cli(*finetune_args(cfg, late, out, "profit")) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: step_count must be")
+    assert not list(out.glob("*.pfit"))
+    assert trained_runs == []
 
 # -------------------------------------------------------- final errors
 

@@ -95,7 +95,7 @@ PINNED = {
         "head_metrics_seed3.csv": "87312247a96e57919123cef43e54dcb09785e5a181d8fca71a4d6b1ac35ec9a1",
         "head_seed3.pfit": "0f157ea037d6a578f84065bb640451a05038d055c1ebd9f78adc2427b2e7e981",
         "profit_metrics_seed3.csv": "d2c5ee327e8445b5e5059c06f3ef4890cefbd843b3eaba0f05b4958e4e973d01",
-        "profit_seed3.pfit": "ef72bfcaacd6535bd13962abf8d5aab0a7496933d255b5558b56392dcce37157",
+        "profit_seed3.pfit": "f16adbe6eaf30f3c0f7a13fc968708c89ed9296a38ba72fa4e36eedbc5cf8846",
         "profit_trace_seed3.csv": "7d165bb747d439c9fcacbe4759718dd8ed1148d1d4b38b47dd5c8a2f030b50c7",
         "sweep_lr_ratio.csv": "f2701d52f12d0724f0dfd5b1243f4c6ec12f949b66145ad629fe0eef1e4de998",
         "sweep_n_ref.csv": "c867172b1b478e6f5239db0c77a10750970efada7a25ac8fbfeb4ce93fd088f7",

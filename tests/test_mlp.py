@@ -186,6 +186,15 @@ def test_chunks_are_near_equal_runs_of_whole_tiles():
     assert min(np.diff(mlp._chunk_edges(10_000, wide))) * 2 * 1_000 > mlp._SMALL_PRODUCT
 
 
+@pytest.mark.parametrize("dims", [(2, 1), (2, 1, 1)], ids=["2-1", "2-1-1"])
+def test_a_model_with_no_matrix_matrix_layer_is_one_chunk(dims):
+    """Every product is matrix-vector, which has no small-matrix path, so a
+    10,000-row input is one pass, not 416 chunks of one tile each."""
+    model = init_model(dims, np.random.default_rng(4))
+    assert mlp._chunk_edges(10_000, model.weights) == [0, 10_000]
+    assert mlp._run_edges(10_000, model.weights) == [0, 10_000]
+
+
 # a 500-wide grid's chunks on each thread, and each chunk's runs
 CALLING_CHUNKS = [1_104] * 4 + [1_128]
 WORKER_CHUNKS = [1_104, 1_104, 1_104, 1_144]
