@@ -1,6 +1,7 @@
 """Optimizer specs, state, and single-step semantics."""
 
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -36,6 +37,15 @@ def test_spec_rejects_bad_learning_rate(lr):
 def test_spec_rejects_bad_decay():
     with pytest.raises(ValueError, match="decay"):
         OptimizerSpec("sgd", 0.1, decay=-0.1)
+
+
+def test_spec_fields_are_kind_rate_and_decay():
+    """The EMA constants and epsilon are module constants, not spec fields."""
+    assert [f.name for f in dataclasses.fields(OptimizerSpec)] == ["kind", "learning_rate", "decay"]
+    with pytest.raises(TypeError, match="rho"):
+        rmsprop(1e-2, rho=0.5)
+    with pytest.raises(TypeError, match="epsilon"):
+        adam(1e-3, epsilon=1e-3)
 
 
 def test_factories_set_community_standard_constants():

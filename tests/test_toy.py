@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from profit import toy
+from profit import optim, toy
 from profit.checkpoint import rng_state_of
 from profit.core import ProfitStepTrace
 from profit.errors import ConfigError, NonFiniteError
@@ -430,6 +430,24 @@ def test_sweep_rejects_a_cell_that_cannot_run_before_training(axis, values, monk
     with pytest.raises(ConfigError, match=cannot_run):
         run_ablation_sweep(make_tiny_plan(seeds=(0,)), axis)
     assert trained == []
+
+
+def test_sweep_rejects_a_cell_whose_reference_rate_underflows(monkeypatch):
+    trained = []
+    monkeypatch.setattr(toy, "train_baseline", lambda *a: trained.append(a))
+    monkeypatch.setitem(toy.SWEEP_AXES, "lr_ratio", (10.0, 1e308))
+    plan = make_tiny_plan(finetune=optim.rmsprop(1e-20), seeds=(0,))
+    with pytest.raises(ConfigError, match=r"sweep cell lr_ratio = 1e\+308 cannot run: reference rate"):
+        run_ablation_sweep(plan, "lr_ratio")
+    assert trained == []
+
+
+@pytest.mark.parametrize("axis", list(toy.SWEEP_AXES))
+def test_sweep_axis_values_have_the_type_of_their_plan_field(axis):
+    """The sweep sets each value as it stands, so an axis holds only values
+    that its plan field's type holds exactly."""
+    field_type = type(getattr(toy.ExperimentPlan(), axis))
+    assert [type(v) for v in toy.SWEEP_AXES[axis]] == [field_type] * len(toy.SWEEP_AXES[axis])
 
 
 @pytest.mark.parametrize("per_seed", [((2, 3), (2, 3)), ((2,), (3,))], ids=["within", "across"])
